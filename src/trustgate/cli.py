@@ -4,6 +4,7 @@ validation, trust inspection, the HTTP service, and the benchmark harness."""
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import sys
@@ -116,6 +117,10 @@ def _cmd_serve(args) -> int:
 
         threading.Thread(target=pump, daemon=True).start()
     print(f"listening on {server.url} with {len(graph)} triples", file=sys.stderr)
+    # everything built so far lives as long as the server: move it out of
+    # the collector's generations so full collections walk only what
+    # requests allocate
+    gc.freeze()
     try:
         server.serve_forever()
     except KeyboardInterrupt:

@@ -487,15 +487,15 @@ class ExchangeMiddleware:
         """Deliver pending updates to each peer at least once.
 
         A peer that stays unreachable keeps its undelivered updates queued
-        for the next call; the queue is pruned once every configured peer has
-        acknowledged a prefix.
+        for the next call; the queue is pruned once every configured peer,
+        and every other peer addressed so far, has acknowledged a prefix.
         """
         targets = list(peers) if peers is not None else list(self.peers)
         results: dict[str, dict] = {}
         with self._prop_lock:
             snapshot = list(self._pending)
         for peer in targets:
-            cursor = self._peer_cursor.get(peer, 0)
+            cursor = self._peer_cursor.setdefault(peer, 0)
             batch = snapshot[cursor:]
             if not batch:
                 results[peer] = {"ok": True, "delivered": 0}
@@ -520,8 +520,9 @@ class ExchangeMiddleware:
                 results[peer] = {"ok": False, "delivered": 0, "error": str(error)}
                 logger.warning("peer %s unreachable: %s", peer, error)
         with self._prop_lock:
-            known = [self._peer_cursor.get(peer, 0) for peer in self.peers] or [0]
-            low = min(known)
+            # no cursor may fall below zero, or that peer would skip updates
+            configured = [self._peer_cursor.get(peer, 0) for peer in self.peers]
+            low = min(configured + list(self._peer_cursor.values()), default=0)
             if low:
                 del self._pending[:low]
                 self._peer_cursor = {
@@ -672,13 +673,19 @@ class _Handler(BaseHTTPRequestHandler):
         except (ValueError, json.JSONDecodeError) as exc:
             self._reply(400, {"error": f"bad json: {exc}"})
             return
+        if not isinstance(body, dict):
+            self._reply(400, {"error": "request body must be a JSON object"})
+            return
         try:
             if path == "/requests":
                 request = _request_from_dict(self._fill_request(body))
                 response = service.handle_request(request)
                 self._reply(200, response.to_dict())
             elif path == "/peers/scores":
-                updates = [ScoreUpdate.from_dict(u) for u in body.get("updates", [])]
+                updates = body.get("updates", [])
+                if not isinstance(updates, list) or not all(isinstance(u, dict) for u in updates):
+                    raise RequestValidationError("updates must be a list of JSON objects")
+                updates = [ScoreUpdate.from_dict(u) for u in updates]
                 applied = service.receive_scores(updates)
                 self._reply(200, {"applied": applied})
             elif path == "/admin/dua":

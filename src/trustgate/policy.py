@@ -301,15 +301,17 @@ class PolicyEngine:
             if builtin not in self.templates:
                 raise PolicyError(f"missing built-in policy: {builtin}")
         self.completeness_sample = completeness_sample
+        # every per-query cache is keyed by value: the template id plus the
+        # sorted substitutions, never by the id() of an AST that may be freed
         self._ast_cache: dict[tuple, QueryAst] = {}
         # join plans are stable while the graph's shape is; recompute when
         # its size drifts past 2x either way
-        self._plan_cache: dict[int, tuple[list, int]] = {}
+        self._plan_cache: dict[tuple, tuple[list, int]] = {}
         # pure ASK/probe outcomes, fingerprinted by the mutation counters of
         # the predicates each query reads: mutations elsewhere cannot change
         # the outcome, so they stay cached across unrelated graph writes
         self._result_cache: dict[tuple, bool] = {}
-        self._deps_cache: dict[int, Optional[tuple]] = {}
+        self._deps_cache: dict[tuple, Optional[tuple]] = {}
         self._label_cache: dict[str, str] = {}
         self._render_cache: dict[str, str] = {}
 
@@ -337,42 +339,41 @@ class PolicyEngine:
             self._render_cache[key] = text
         return text
 
-    def _ast(self, template: PolicyTemplate, substitutions: dict[str, str]) -> QueryAst:
-        key = (template.id,) + tuple(sorted(substitutions.items()))
+    def _ast(self, key: tuple, template: PolicyTemplate, substitutions: dict[str, str]) -> QueryAst:
         ast = self._ast_cache.get(key)
         if ast is None:
             ast = parse(instantiate(template, substitutions))
             if len(self._ast_cache) > 8192:
                 self._ast_cache.clear()
                 self._plan_cache.clear()
+                self._deps_cache.clear()
             self._ast_cache[key] = ast
         return ast
 
-    def _plan(self, ast: QueryAst) -> list:
+    def _plan(self, key: tuple, ast: QueryAst) -> list:
         size = len(self.graph)
-        cached = self._plan_cache.get(id(ast))
+        cached = self._plan_cache.get(key)
         if cached is not None:
             plan, at_size = cached
             if size <= 2 * at_size and at_size <= 2 * size:
                 return plan
         plan = compile_plan(ast, self.graph)
-        self._plan_cache[id(ast)] = (plan, size)
+        self._plan_cache[key] = (plan, size)
         return plan
 
-    def _dependencies(self, ast: QueryAst) -> Optional[tuple]:
+    def _dependencies(self, key: tuple, ast: QueryAst) -> Optional[tuple]:
         """Ground predicates the query reads, or None if any pattern has a
         variable predicate (then any mutation may affect it)."""
-        deps = self._deps_cache.get(id(ast))
-        if deps is None and id(ast) not in self._deps_cache:
-            preds = []
-            for pattern in ast.bgp:
-                if not isinstance(pattern.predicate, Term):
-                    preds = None
-                    break
-                if pattern.predicate not in preds:
-                    preds.append(pattern.predicate)
-            deps = tuple(preds) if preds is not None else None
-            self._deps_cache[id(ast)] = deps
+        if key in self._deps_cache:
+            return self._deps_cache[key]
+        preds = []
+        for pattern in ast.bgp:
+            if not isinstance(pattern.predicate, Term):
+                preds = None
+                break
+            if pattern.predicate not in preds:
+                preds.append(pattern.predicate)
+        deps = self._deps_cache[key] = tuple(preds) if preds is not None else None
         return deps
 
     def _fingerprint(self, deps: Optional[tuple]):
@@ -381,12 +382,13 @@ class PolicyEngine:
         return tuple(self.graph.predicate_version(p) for p in deps)
 
     def _ask(self, policy_id: str, substitutions: dict[str, str]) -> bool:
-        ast = self._ast(self.templates[policy_id], substitutions)
-        key = (id(ast), self._fingerprint(self._dependencies(ast)))
+        query_key = (policy_id,) + tuple(sorted(substitutions.items()))
+        ast = self._ast(query_key, self.templates[policy_id], substitutions)
+        key = (query_key, self._fingerprint(self._dependencies(query_key, ast)))
         cached = self._result_cache.get(key)
         if cached is not None:
             return cached
-        result = eval_ask(ast, self.graph, plan=self._plan(ast))
+        result = eval_ask(ast, self.graph, plan=self._plan(query_key, ast))
         if len(self._result_cache) > 8192:
             self._result_cache.clear()
         self._result_cache[key] = result

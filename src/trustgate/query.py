@@ -662,7 +662,12 @@ def eval_select(ast: QueryAst, graph: Graph, plan: Optional[list[_Step]] = None)
         rows = [
             tuple(sol[name] for name in variables) for sol in _solutions(ast, graph, plan)
         ]
-    rows.sort(key=lambda row: tuple(term.sort_key() for term in row))
+    if len(variables) == 1 and all(row[0].kind == IRI for row in rows):
+        # IRIs share kind and datatype, so their lexical form alone gives
+        # the same order as the full sort key, several times faster
+        rows.sort(key=lambda row: row[0].lexical)
+    else:
+        rows.sort(key=lambda row: tuple(term.sort_key() for term in row))
     return BindingSet(variables, rows)
 
 

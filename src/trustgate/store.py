@@ -559,26 +559,31 @@ def _parse_resource(scanner: _LineScanner, namespaces: dict) -> str:
     return scanner.take_qname_iri(namespaces)
 
 
-def _parse_object(scanner: _LineScanner, namespaces: dict) -> Term:
+def _parse_object(scanner: _LineScanner, namespaces: dict, term) -> Term:
     if scanner.peek() == '"':
         lexical = scanner.take_string()
         if scanner.text.startswith("^^", scanner.pos):
             scanner.pos += 2
             datatype = _parse_resource(scanner, namespaces)
-            return typed(lexical, datatype)
-        return plain(lexical)
-    return iri(_parse_resource(scanner, namespaces))
+            return term(TYPED_LITERAL, lexical, datatype)
+        return term(PLAIN_LITERAL, lexical)
+    return term(IRI, _parse_resource(scanner, namespaces))
 
 
 def parse_line(text: str, line_no: int, namespaces: dict) -> Triple:
+    return _parse_line(text, line_no, namespaces, Term)
+
+
+def _parse_line(text: str, line_no: int, namespaces: dict, term) -> Triple:
+    """parse_line with `term(kind, lexical[, datatype])` building each term."""
     scanner = _LineScanner(text, line_no)
     scanner.skip_ws()
     try:
-        subject = iri(_parse_resource(scanner, namespaces))
+        subject = term(IRI, _parse_resource(scanner, namespaces))
         scanner.skip_ws()
-        predicate = iri(_parse_resource(scanner, namespaces))
+        predicate = term(IRI, _parse_resource(scanner, namespaces))
         scanner.skip_ws()
-        obj = _parse_object(scanner, namespaces)
+        obj = _parse_object(scanner, namespaces, term)
     except TermError as exc:
         raise scanner.error(str(exc)) from None
     scanner.skip_ws()
@@ -596,16 +601,29 @@ def load_lines(graph: Graph, source) -> int:
 
     `source` is a string or an iterable of lines. Raises LineFormatError with
     the position of the first bad line.
+
+    Equal terms are built once per call and shared by every triple that uses
+    them, so the indexes hold one object per distinct term. The table lives
+    only for this call: later writes bring fresh terms of their own.
     """
     if isinstance(source, str):
         lines = source.splitlines()
     else:
         lines = (line.rstrip("\n") for line in source)
+    interned: dict[tuple, Term] = {}
+
+    def term(kind: str, lexical: str, datatype: Optional[str] = None) -> Term:
+        key = (kind, lexical, datatype)
+        found = interned.get(key)
+        if found is None:
+            found = interned[key] = Term(kind, lexical, datatype)
+        return found
+
     added = 0
     for line_no, raw in enumerate(lines, start=1):
         if not raw.strip() or raw.startswith("#"):
             continue
-        if graph.insert(parse_line(raw, line_no, graph.namespaces)):
+        if graph.insert(_parse_line(raw, line_no, graph.namespaces, term)):
             added += 1
     return added
 

@@ -190,6 +190,11 @@ def demographics_manifest(spec: GeneratorSpec) -> DemographicsManifest:
             label = _NAMED_USERS[i]
         else:
             role = _ROLES[i % len(_ROLES)]
+            if f"{role}_{i + 1:03d}" in _NAMED_USERS:
+                # the policies find a user by label, so no user may share a
+                # named user's; generated numbers are unique, so one other
+                # role is enough
+                role = _ROLES[(i + 1) % len(_ROLES)]
             label = f"{role}_{i + 1:03d}"
         users.append(UserInfo(iri=f"{SYN_NS}user_{i + 1:03d}", label=label, org_iri=org.iri))
     return DemographicsManifest(

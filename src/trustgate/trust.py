@@ -40,13 +40,6 @@ MISSING_PROPERTIES = "missingProperties"
 USER_PENALTIES = (DUA_VIOLATION, NO_DUA_REQUEST)
 ORG_PENALTIES = (MISSING_CATEGORY, MISSING_PROPERTIES)
 
-_SCORE_PREDICATES = {
-    BEHAVIOR: BEHAVIOR_TRUST,
-    IDENTITY: IDENTITY_TRUST,
-    CREDIBILITY_SCORE: CREDIBILITY,
-}
-
-
 class TrustError(Exception):
     pass
 

@@ -1,10 +1,12 @@
 import csv
+import gc
 import json
 from importlib import resources
 
 import pytest
 
 from trustgate.cli import main
+from trustgate.middleware import MiddlewareHTTPServer
 from trustgate.ontology import vocabulary_text
 from trustgate.store import Graph, SYN_NS, load_lines
 
@@ -96,6 +98,27 @@ class TestTrustShow:
         assert main(["trust", "show", SYN_NS + "user_001", "--data", str(dataset)]) == 0
         record = json.loads(capsys.readouterr().out)
         assert record["scores"] == {"identity": "1.0", "behavior": "1.0"}
+
+
+class TestServe:
+    def test_serve_freezes_the_loaded_heap_before_serving(self, dataset, tmp_path, monkeypatch):
+        frozen_at_serve = []
+
+        def serve_forever(server, poll_interval=0.5):
+            frozen_at_serve.append(gc.get_freeze_count())
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(MiddlewareHTTPServer, "serve_forever", serve_forever)
+        monkeypatch.setattr(MiddlewareHTTPServer, "shutdown", lambda server: None)
+        gc.unfreeze()
+        try:
+            assert main([
+                "serve", "--data", str(dataset), "--listen", "127.0.0.1:0",
+                "--log", str(tmp_path / "txns.ldjson"),
+            ]) == 0
+        finally:
+            gc.unfreeze()
+        assert frozen_at_serve and frozen_at_serve[0] > 0
 
 
 class TestBenchCli:

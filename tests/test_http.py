@@ -1,3 +1,4 @@
+import gc
 import json
 import urllib.error
 import urllib.request
@@ -36,6 +37,20 @@ def server(demo_graph):
     server = start_server(service)
     yield server
     server.shutdown()
+
+
+def test_building_and_starting_a_service_freezes_nothing(demo_graph):
+    # freezing applies to the whole process, so only the serve command may
+    # do it; a library caller building services must keep a normal heap
+    before = gc.get_freeze_count()
+    service = ExchangeMiddleware(demo_graph, node_id="node-gc")
+    assert gc.get_freeze_count() == before
+    server = start_server(service)
+    try:
+        assert http("GET", server.url + "/healthz")[0] == 200
+        assert gc.get_freeze_count() == before
+    finally:
+        server.shutdown()
 
 
 class TestEndpoints:
@@ -111,6 +126,20 @@ class TestEndpoints:
         assert (status, body) == (200, {"applied": 1})
         status, body = http("GET", server.url + "/trust/" + quote(principal, safe=""))
         assert body["scores"]["behavior"] == "0.75"
+
+    @pytest.mark.parametrize("path, payload", [
+        ("/requests", [1, 2]),
+        ("/requests", "abc"),
+        ("/peers/scores", [1]),
+        ("/peers/scores", {"updates": 5}),
+        ("/peers/scores", {"updates": [1]}),
+        ("/peers/scores", {"updates": ["x"]}),
+        ("/admin/dua", [1]),
+    ])
+    def test_malformed_body_is_bad_request(self, server, path, payload):
+        status, body = http("POST", server.url + path, payload)
+        assert status == 400
+        assert body["error"]
 
 
 class TestPropagationOverHttp:

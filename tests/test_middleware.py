@@ -1,6 +1,7 @@
 import json
 import random
 import threading
+from decimal import Decimal
 
 import pytest
 
@@ -239,6 +240,29 @@ class TestPropagationQueue:
         results = service.propagate_scores(max_attempts=2, backoff=0.01)
         assert results["http://127.0.0.1:9"]["ok"] is False
         assert len(service.pending_updates()) == 1
+
+    def test_unconfigured_peer_loses_no_update_to_pruning(self, demo_graph, demo_manifest):
+        configured, extra = "http://peer-a", "http://peer-b"
+        service = ExchangeMiddleware(demo_graph, peers=[configured])
+        sent: dict[str, list[int]] = {}
+        service._post_json = lambda url, payload: sent.setdefault(url, []).extend(
+            u["version"] for u in payload["updates"]
+        )
+        principal = user(demo_manifest, 3)
+
+        def queue(versions):
+            service._enqueue([(principal, "behavior", Decimal("0.5"), v) for v in versions])
+
+        queue([1, 2])
+        service.propagate_scores(peers=[extra])
+        queue([3, 4, 5])
+        service.propagate_scores(peers=[configured])
+        assert min(service._peer_cursor.values()) >= 0
+        queue([6, 7, 8, 9])
+        service.propagate_scores(peers=[extra])
+        assert sent[configured + "/peers/scores"] == [1, 2, 3, 4, 5]
+        assert sent[extra + "/peers/scores"] == [1, 2, 3, 4, 5, 6, 7, 8, 9]
+        assert min(service._peer_cursor.values()) >= 0
 
 
 class TestReceiveScores:

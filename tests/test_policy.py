@@ -3,6 +3,7 @@ import json
 import pytest
 
 from trustgate import ontology as vocab
+from trustgate import policy as policy_module
 from trustgate.ontology import DuaRecord, write_dua
 from trustgate.policy import (
     P_CUSTODIAN_HAS_CATEGORY,
@@ -192,6 +193,20 @@ class TestEvaluate:
         for pid, passed in before.per_policy:
             if passed is True:
                 assert after.outcome(pid) is True
+
+    def test_verdict_survives_ast_cache_turnover(self, demo_graph, demo_manifest, monkeypatch):
+        # once the AST cache is cleared, CPython may place a new AST at a
+        # freed one's address; model that deterministically by giving every
+        # object one id, so any cache keyed on id() serves a stale verdict
+        monkeypatch.setattr(policy_module, "id", lambda obj: 0, raising=False)
+        engine = PolicyEngine(demo_graph)
+        granted = engine.evaluate(request_for(demo_manifest, 0, PATIENT, PUBLIC_HEALTH))
+        assert granted.outcome(P_DUA_EXISTS) is True
+        engine._ast_cache.clear()
+        # user index 7 belongs to the eighth organization, which has no agreement
+        denied = engine.evaluate(request_for(demo_manifest, 7, PATIENT, PUBLIC_HEALTH))
+        assert denied.outcome(P_DUA_EXISTS) is False
+        assert penalty_for(denied) == NO_DUA_REQUEST
 
     def test_unlabeled_custodian_is_error(self, demo_manifest):
         engine = PolicyEngine(Graph())

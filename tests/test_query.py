@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trustgate.store import (
     DUA_NS,
@@ -387,3 +388,49 @@ class TestOracleEquivalence:
             g, patterns = random_case(rng)
             ast = QueryAst(form="ask", bgp=patterns)
             assert eval_ask(ast, g) == (len(eval_select(ask_as_select(ast), g)) > 0)
+
+
+def full_key(row):
+    return tuple(term.sort_key() for term in row)
+
+
+_LEXICALS = st.sampled_from(["a:b", "a:b2", "a:B", "a:\u00e9", "b:a", "a:b\n"])
+_IRIS = st.sampled_from(["a:b", "a:b2", "a:B", "a:\u00e9", "b:a"]).map(iri)
+_OBJECTS = st.one_of(
+    _IRIS,
+    _LEXICALS.map(plain),
+    _LEXICALS.map(lambda lex: typed(lex, "dt:one")),
+    _LEXICALS.map(lambda lex: typed(lex, "dt:two")),
+)
+_PREDICATES = st.sampled_from([iri("p:a"), iri("p:b")])
+
+
+class TestSelectOrder:
+    """eval_select orders rows by each term's (lexical, kind, datatype);
+    the lexical-only key for all-IRI single columns must agree with it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(_IRIS, _PREDICATES, _OBJECTS), max_size=40))
+    def test_rows_follow_the_full_sort_key(self, triples):
+        g = Graph()
+        g.add_all(Triple(s, p, o) for s, p, o in triples)
+        for text in (
+            "SELECT ?s WHERE { ?s ?p ?o . }",  # all-IRI single column
+            "SELECT ?o WHERE { ?s ?p ?o . }",  # IRIs, plain and typed literals
+            "SELECT ?o ?s WHERE { ?s ?p ?o . }",
+            "SELECT ?s WHERE { ?s <p:a> ?x . ?s <p:b> ?o . }",  # joined, all IRIs
+            "SELECT ?o WHERE { ?s <p:a> ?x . ?s <p:b> ?o . }",
+            "SELECT ?x ?o WHERE { ?s <p:a> ?x . ?s <p:b> ?o . }",
+        ):
+            rows = eval_select(parse(text), g).rows
+            assert rows == sorted(rows, key=full_key), text
+
+    def test_iri_and_literal_with_one_lexical_keep_their_kind_order(self):
+        g = Graph()
+        g.add_all([
+            Triple(iri("s:1"), iri("p:a"), plain("a:b")),
+            Triple(iri("s:2"), iri("p:a"), iri("a:b")),
+            Triple(iri("s:3"), iri("p:a"), typed("a:b", "dt:one")),
+        ])
+        rows = eval_select(parse("SELECT ?o WHERE { ?s <p:a> ?o . }"), g).rows
+        assert [row[0].kind for row in rows] == ["iri", "plain-literal", "typed-literal"]

@@ -305,6 +305,34 @@ class TestLineFormat:
         load_lines(g2, serialize_lines(g))
         assert g2.triples() == g.triples()
 
+    def test_load_shares_one_object_per_distinct_term(self):
+        g = Graph()
+        g.add_all([
+            Triple(iri("s:a"), iri("p:p"), plain('two\nlines "quoted"\\')),
+            Triple(iri("s:b"), iri("p:p"), plain('two\nlines "quoted"\\')),
+            Triple(iri("s:a"), iri("p:q"), typed("0.5", XSD_FLOAT)),
+            Triple(iri("s:b"), iri("p:q"), typed("0.5", XSD_FLOAT)),
+            Triple(iri("s:a"), iri("p:r"), iri("s:b")),
+            Triple(iri("s:b"), iri("p:r"), plain("s:b")),
+        ])
+        text = serialize_lines(g)
+        g2 = Graph()
+        load_lines(g2, text)
+        assert serialize_lines(g2) == text
+        seen = {}
+        for trip in g2:
+            for term in (trip.subject, trip.predicate, trip.object):
+                assert seen.setdefault(term, term) is term
+        # one object per distinct (kind, lexical, datatype): the IRI s:b
+        # and the plain literal "s:b" stay apart
+        assert len(seen) == 8
+        for index in (g2._spo, g2._pos, g2._osp):
+            for first, seconds in index.items():
+                assert seen[first] is first
+                for second, thirds in seconds.items():
+                    assert seen[second] is second
+                    assert all(seen[third] is third for third in thirds)
+
 
 def index_triples(graph):
     """Walk each of the three indexes and rebuild the triple set."""

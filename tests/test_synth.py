@@ -78,6 +78,13 @@ class TestDemographics:
         labels = [u.label for u in manifest.users]
         assert len(labels) == len(set(labels))
 
+    def test_labels_unique_past_the_named_users_numbers(self):
+        # policies find a user by label; from 731 users on, every named
+        # user's number is also given to a generated user
+        manifest = demographics_manifest(GeneratorSpec(seed=11, user_count=1000))
+        labels = [u.label for u in manifest.users]
+        assert len(labels) == len(set(labels))
+
     def test_first_dua_grants_patient_for_public_health(self):
         spec = GeneratorSpec(seed=11)
         g = generate_demographics(spec)
