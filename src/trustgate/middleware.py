@@ -36,8 +36,11 @@ from .policy import (
     render_term,
 )
 from .query import BindingSet, eval_select, parse
-from .store import Graph, iri, serialize_term
+from .store import Graph, TermError, iri, json_term
 from .trust import (
+    BEHAVIOR,
+    CREDIBILITY_SCORE,
+    IDENTITY,
     AssessmentConfig,
     Assessment,
     DuaMismatchError,
@@ -46,6 +49,7 @@ from .trust import (
     TrustError,
     TrustRegistry,
     UnknownPrincipalError,
+    as_score,
     canonical_score,
 )
 
@@ -123,11 +127,27 @@ class ScoreUpdate:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScoreUpdate":
+        """Parse and check one update, so that a batch with a bad update can
+        be refused before any of it is applied."""
+        principal, score, value = data["principal"], data["score"], data["value"]
+        try:
+            iri(principal)
+        except (TermError, TypeError):
+            raise RequestValidationError(f"principal must be an IRI: {principal!r}") from None
+        if score not in (BEHAVIOR, IDENTITY, CREDIBILITY_SCORE):
+            raise RequestValidationError(f"unknown score name: {score!r}")
+        try:
+            as_score(value)
+        except (ArithmeticError, TrustError):
+            raise RequestValidationError(f"score value must be a number in [0, 1]: {value!r}") from None
+        version = data["version"]
+        if not isinstance(version, int) or isinstance(version, bool):
+            raise RequestValidationError(f"version must be an integer: {version!r}")
         return cls(
-            principal=data["principal"],
-            score=data["score"],
-            value=data["value"],
-            version=int(data["version"]),
+            principal=principal,
+            score=score,
+            value=value,
+            version=version,
             origin=data.get("origin", ""),
         )
 
@@ -198,20 +218,39 @@ class DataResponse:
     custodian_notices: tuple[dict, ...]
     timings: dict[str, float]
 
+    def to_json(self) -> str:
+        """The reply body: the text `json.dumps` gives for this response,
+        with each row written from its terms' memoized JSON text."""
+        dumps = json.dumps
+        head = (
+            f'{{"requestId": {dumps(self.request_id)}, '
+            f'"decision": {dumps(self.decision.to_dict())}, "records": '
+        )
+        tail = (
+            f', "custodianNotices": {dumps(self.custodian_notices)}, '
+            f'"timings": {dumps(self.timings)}}}'
+        )
+        if self.records is None:
+            return head + "null" + tail
+        head += f'{{"variables": {dumps(self.records.variables)}, "rows": '
+        texts = _row_texts(self.records)
+        if not texts:
+            return head + "[]}" + tail
+        # one join builds the whole body, so no second copy of the rows is made
+        texts[0] = head + "[[" + texts[0]
+        texts[-1] += "]]}" + tail
+        return "], [".join(texts)
+
     def to_dict(self) -> dict:
-        records = None
-        if self.records is not None:
-            records = {
-                "variables": list(self.records.variables),
-                "rows": [[serialize_term(t) for t in row] for row in self.records.rows],
-            }
-        return {
-            "requestId": self.request_id,
-            "decision": self.decision.to_dict(),
-            "records": records,
-            "custodianNotices": list(self.custodian_notices),
-            "timings": dict(self.timings),
-        }
+        """The reply body parsed back into a dict."""
+        return json.loads(self.to_json())
+
+
+def _row_texts(records: BindingSet) -> list[str]:
+    """Each row's JSON array contents: its terms' texts joined by ", "."""
+    if len(records.variables) == 1:
+        return [json_term(t) for (t,) in records.rows]
+    return [", ".join([json_term(t) for t in row]) for row in records.rows]
 
 
 def _request_to_dict(request: DataRequest) -> dict:
@@ -638,8 +677,10 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format, *args):
         logger.debug("http: " + format, *args)
 
-    def _reply(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload).encode("utf-8")
+    def _reply(self, status: int, payload) -> None:
+        """Send `payload`, a dict to encode or a body already in JSON text."""
+        text = payload if isinstance(payload, str) else json.dumps(payload)
+        body = text.encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -648,6 +689,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _body(self) -> dict:
         length = int(self.headers.get("Content-Length") or 0)
+        if length < 0:
+            # rfile.read(-1) would wait for the client to close the socket
+            raise ValueError(f"negative Content-Length: {length}")
         raw = self.rfile.read(length) if length else b""
         return json.loads(raw or b"{}")
 
@@ -671,7 +715,7 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             body = self._body()
         except (ValueError, json.JSONDecodeError) as exc:
-            self._reply(400, {"error": f"bad json: {exc}"})
+            self._reply(400, {"error": f"bad request body: {exc}"})
             return
         if not isinstance(body, dict):
             self._reply(400, {"error": "request body must be a JSON object"})
@@ -680,7 +724,7 @@ class _Handler(BaseHTTPRequestHandler):
             if path == "/requests":
                 request = _request_from_dict(self._fill_request(body))
                 response = service.handle_request(request)
-                self._reply(200, response.to_dict())
+                self._reply(200, response.to_json())
             elif path == "/peers/scores":
                 updates = body.get("updates", [])
                 if not isinstance(updates, list) or not all(isinstance(u, dict) for u in updates):

@@ -723,14 +723,3 @@ def eval_update(ast: QueryAst, graph: Graph) -> UpdateSummary:
             if graph.insert(_instantiate(pattern, binding)):
                 inserted += 1
     return UpdateSummary(deleted=deleted, inserted=inserted)
-
-
-def ask_as_select(ast: QueryAst) -> QueryAst:
-    """Rewrite an ASK body as a select-all query (used by equivalence tests)."""
-    return QueryAst(
-        form=SELECT,
-        prefixes=dict(ast.prefixes),
-        bgp=list(ast.bgp),
-        filters=list(ast.filters),
-        projection=None,
-    )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from decimal import Decimal, InvalidOperation
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Optional
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
@@ -68,9 +69,10 @@ class Term:
 
     Equality is the (kind, lexical, datatype) triple; "1.0" and "1.00" are
     distinct typed literals even though they denote the same number.
+    `_json` stays unset until `json_term` first fills it.
     """
 
-    __slots__ = ("kind", "lexical", "datatype", "_hash")
+    __slots__ = ("kind", "lexical", "datatype", "_hash", "_json")
 
     def __init__(self, kind: str, lexical: str, datatype: Optional[str] = None):
         if kind == IRI:
@@ -104,6 +106,8 @@ class Term:
         return (self.lexical, self.kind, self.datatype or "")
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, Term)
             and self._hash == other._hash
@@ -174,12 +178,15 @@ class Triple:
         return (self.subject.sort_key(), self.predicate.sort_key(), self.object.sort_key())
 
     def __eq__(self, other):
+        if self is other:
+            return True
+        # interned terms make most component checks an identity hit
         return (
             isinstance(other, Triple)
             and self._hash == other._hash
-            and self.subject == other.subject
-            and self.predicate == other.predicate
-            and self.object == other.object
+            and (self.subject is other.subject or self.subject == other.subject)
+            and (self.predicate is other.predicate or self.predicate == other.predicate)
+            and (self.object is other.object or self.object == other.object)
         )
 
     def __hash__(self):
@@ -228,12 +235,13 @@ class TriplePattern:
 class Graph:
     """Set of triples with SPO/POS/OSP-style indexes and a prefix table.
 
-    Passive with respect to locking: callers enforce the many-readers /
-    one-writer contract.
+    The three indexes are the only storage: no `Triple` object is kept, and
+    iteration builds them from the SPO index. Passive with respect to
+    locking: callers enforce the many-readers / one-writer contract.
     """
 
     def __init__(self, namespaces: Optional[dict] = None):
-        self._triples: dict[Triple, None] = {}
+        self._size = 0
         self._spo: dict[Term, dict[Term, dict[Term, None]]] = {}
         self._pos: dict[Term, dict[Term, dict[Term, None]]] = {}
         self._osp: dict[Term, dict[Term, dict[Term, None]]] = {}
@@ -244,51 +252,42 @@ class Graph:
         self._pred_versions: dict[Term, int] = {}
 
     def __len__(self):
-        return len(self._triples)
+        return self._size
 
     def __iter__(self) -> Iterator[Triple]:
-        return iter(self._triples)
+        for s, p, o in self.iter_terms(None, None, None):
+            yield Triple(s, p, o)
 
     def __contains__(self, t: Triple) -> bool:
-        return t in self._triples
+        return isinstance(t, Triple) and self.contains_spo(t.subject, t.predicate, t.object)
 
     def triples(self) -> list[Triple]:
         """All triples in canonical (sorted) order."""
-        return sorted(self._triples, key=Triple.sort_key)
+        return sorted(self, key=Triple.sort_key)
 
     def insert(self, t: Triple) -> bool:
         """Add a triple; returns False if it was already present."""
         if not isinstance(t, Triple):
             raise TermError(f"expected a Triple, got {t!r}")
-        if t in self._triples:
-            return False
-        self._triples[t] = None
         s, p, o = t.subject, t.predicate, t.object
-        self._spo.setdefault(s, {}).setdefault(p, {})[o] = None
-        self._pos.setdefault(p, {}).setdefault(o, {})[s] = None
-        self._osp.setdefault(o, {}).setdefault(s, {})[p] = None
+        if not _link(self._spo, s, p, o):
+            return False
+        _link(self._pos, p, o, s)
+        _link(self._osp, o, s, p)
+        self._size += 1
         self.version += 1
         self._pred_versions[p] = self._pred_versions.get(p, 0) + 1
         return True
 
     def remove(self, t: Triple) -> bool:
         """Remove a triple; returns False if it was absent."""
-        if t not in self._triples:
+        if t not in self:
             return False
-        del self._triples[t]
         s, p, o = t.subject, t.predicate, t.object
-        for index, a, b, c in (
-            (self._spo, s, p, o),
-            (self._pos, p, o, s),
-            (self._osp, o, s, p),
-        ):
-            second = index[a]
-            third = second[b]
-            del third[c]
-            if not third:
-                del second[b]
-                if not second:
-                    del index[a]
+        _unlink(self._spo, s, p, o)
+        _unlink(self._pos, p, o, s)
+        _unlink(self._osp, o, s, p)
+        self._size -= 1
         self.version += 1
         self._pred_versions[p] = self._pred_versions.get(p, 0) + 1
         return True
@@ -359,7 +358,7 @@ class Graph:
             return len(self._pos.get(p, ()))
         if o is not None:
             return len(self._osp.get(o, ()))
-        return len(self._triples)
+        return self._size
 
     def iter_terms(self, s: Optional[Term], p: Optional[Term], o: Optional[Term]):
         """Yield (s, p, o) term tuples for every triple matching the pattern.
@@ -406,8 +405,10 @@ class Graph:
                     for pred in preds:
                         yield (subj, pred, o)
         else:
-            for t in self._triples:
-                yield (t.subject, t.predicate, t.object)
+            for subj, preds in self._spo.items():
+                for pred, objs in preds.items():
+                    for obj in objs:
+                        yield (subj, pred, obj)
 
     def match(self, pattern: TriplePattern) -> list[Triple]:
         """Triples unifying with the pattern, in canonical sorted order.
@@ -446,6 +447,32 @@ class Graph:
         if best is None:
             return None
         return f"{best[0]}:{best[2]}"
+
+
+def _link(index: dict, a: Term, b: Term, c: Term) -> bool:
+    """Add c under index[a][b]; False if it was already there."""
+    second = index.get(a)
+    if second is None:
+        index[a] = {b: {c: None}}
+        return True
+    third = second.get(b)
+    if third is None:
+        second[b] = {c: None}
+        return True
+    if c in third:
+        return False
+    third[c] = None
+    return True
+
+
+def _unlink(index: dict, a: Term, b: Term, c: Term) -> None:
+    second = index[a]
+    third = second[b]
+    del third[c]
+    if not third:
+        del second[b]
+        if not second:
+            del index[a]
 
 
 def _repeated_positions(nodes) -> list[tuple[int, int]]:
@@ -634,6 +661,20 @@ def serialize_term(term: Term) -> str:
     if term.kind == PLAIN_LITERAL:
         return f'"{_escape(term.lexical)}"'
     return f'"{_escape(term.lexical)}"^^<{term.datatype}>'
+
+
+def json_term(term: Term) -> str:
+    """`json.dumps(serialize_term(term))`, computed once and kept on the term.
+
+    `encode_basestring_ascii` is the encoder `json.dumps` uses by default, so
+    the text is the same byte for byte. Concurrent readers may both fill the
+    slot; each stores the same string, so no lock is needed.
+    """
+    try:
+        return term._json
+    except AttributeError:
+        text = term._json = encode_basestring_ascii(serialize_term(term))
+        return text
 
 
 def serialize_lines(graph: Graph) -> str:

@@ -14,9 +14,12 @@ from typing import Iterable, Optional
 
 from . import ontology as vocab
 from .ontology import DuaRecord, PrincipalRef, write_dua
-from .store import SYN_NS, XSD_FLOAT, Graph, Term, Triple, iri, plain, typed
+from .store import SYN_NS, Graph, Term, Triple, iri, plain
+from .trust import ONE, score_term
 
-_SCORE_ONE = typed("1.0", XSD_FLOAT)
+# the trust registry's own term for 1.0, so its projection rewrites find the
+# generated score triples by identity
+_SCORE_ONE = score_term(ONE)
 
 _ROLES = ("physician", "nurse", "research_scientist", "epidemiologist", "pharmacist")
 

@@ -1,5 +1,6 @@
 import gc
 import json
+import socket
 import urllib.error
 import urllib.request
 from urllib.parse import quote
@@ -9,7 +10,7 @@ import pytest
 from trustgate import ontology as vocab
 from trustgate.middleware import ExchangeMiddleware, start_server
 from trustgate.ontology import bootstrap_vocabulary
-from trustgate.store import Graph, SYN_NS
+from trustgate.store import Graph, SYN_NS, serialize_term
 from trustgate.synth import generate_dataset
 
 PUBLIC_HEALTH = vocab.PUBLIC_HEALTH.lexical
@@ -70,6 +71,17 @@ class TestEndpoints:
         assert body["requestId"] == "http-1"
         assert body["decision"]["granted"] is True
         assert len(body["records"]["rows"]) == demo_manifest.spec.patient_count
+
+    def test_granted_rows_are_the_retrieved_rows(self, server, demo_manifest):
+        status, body = http("POST", server.url + "/requests", {
+            "user": demo_manifest.users[0].iri,
+            "category": PATIENT,
+            "purpose": PUBLIC_HEALTH,
+        })
+        assert status == 200
+        expected = server.service.retrieve(PATIENT)
+        assert body["records"]["variables"] == list(expected.variables)
+        assert body["records"]["rows"] == [[serialize_term(t) for t in row] for row in expected.rows]
 
     def test_post_request_denied_for_no_dua_user(self, server, demo_manifest):
         status, body = http("POST", server.url + "/requests", {
@@ -140,6 +152,51 @@ class TestEndpoints:
         status, body = http("POST", server.url + path, payload)
         assert status == 400
         assert body["error"]
+
+    @pytest.mark.parametrize("bad", [
+        {"value": "abc"},
+        {"value": "7"},
+        {"value": None},
+        {"version": "x"},
+        {"version": 9.5},
+        {"version": True},
+        {"score": "karma"},
+        {"principal": ""},
+        {"principal": "has space"},
+    ])
+    def test_bad_score_update_refuses_the_whole_batch(self, server, demo_manifest, bad):
+        first = demo_manifest.users[3].iri
+        record_url = server.url + "/trust/" + quote(first, safe="")
+        before = http("GET", record_url)
+        update = {"principal": demo_manifest.users[4].iri, "score": "behavior",
+                  "value": "0.6", "version": 9, "origin": "node-x"}
+        status, body = http("POST", server.url + "/peers/scores", {
+            "updates": [
+                {"principal": first, "score": "behavior", "value": "0.5",
+                 "version": 9, "origin": "node-x"},
+                {**update, **bad},
+            ],
+        })
+        assert status == 400
+        assert body["error"]
+        assert http("GET", record_url) == before
+        assert before[1]["scores"]["behavior"] == "1.0"
+
+    def test_negative_content_length_is_bad_request(self, server):
+        # read(-1) would block until the client closed the socket
+        host, port = server.server_address[:2]
+        with socket.create_connection((host, port), timeout=3) as sock:
+            sock.sendall(
+                b"POST /requests HTTP/1.1\r\nHost: localhost\r\n"
+                b"Content-Type: application/json\r\nContent-Length: -1\r\n\r\n{}"
+            )
+            reply = b""
+            while b"\r\n" not in reply:
+                chunk = sock.recv(4096)
+                if not chunk:
+                    break
+                reply += chunk
+        assert reply.split(b" ")[1] == b"400"
 
 
 class TestPropagationOverHttp:

@@ -1,6 +1,7 @@
 import json
 import random
 import threading
+from dataclasses import replace
 from decimal import Decimal
 
 import pytest
@@ -11,13 +12,15 @@ from trustgate.middleware import (
     STAGE_POLICY,
     STAGE_RETRIEVAL,
     STAGE_TRUST_UPDATE,
+    DataResponse,
     ExchangeMiddleware,
     ScoreUpdate,
     configs_from_mapping,
     parse_config_text,
 )
 from trustgate.ontology import DuaRecord, bootstrap_vocabulary
-from trustgate.store import Graph, SYN_NS
+from trustgate.query import BindingSet
+from trustgate.store import XSD_FLOAT, Graph, SYN_NS, iri, plain, serialize_term, typed
 from trustgate.synth import GeneratorSpec, demographics_manifest, generate_dataset
 from trustgate.trust import UnknownPrincipalError
 
@@ -211,6 +214,84 @@ class TestLockoutProtocol:
             service.build_request(user(demo_manifest, 0), PATIENT, PUBLIC_HEALTH)
         )
         assert fine.decision.granted is True
+
+
+def reference_body(response: DataResponse) -> str:
+    """The reply body as `json.dumps` of a dict with one list per row."""
+    records = None
+    if response.records is not None:
+        records = {
+            "variables": list(response.records.variables),
+            "rows": [[serialize_term(t) for t in row] for row in response.records.rows],
+        }
+    return json.dumps({
+        "requestId": response.request_id,
+        "decision": response.decision.to_dict(),
+        "records": records,
+        "custodianNotices": list(response.custodian_notices),
+        "timings": dict(response.timings),
+    })
+
+
+ODD_TERMS = [
+    iri(SYN_NS + "patient_é"),
+    plain('quote " backslash \\ newline \n tab \t nul \x00 del \x7f'),
+    plain("漢字 😀 lone \ud800 surrogate"),
+    typed("0.25", XSD_FLOAT),
+    typed('{"a": 1}', SYN_NS + "Json"),
+    plain(""),
+]
+
+
+class TestResponseJson:
+    def assert_body(self, response):
+        body = response.to_json()
+        assert body == reference_body(response)
+        assert response.to_dict() == json.loads(body)
+
+    def test_granted_one_column(self, service, demo_manifest, demo_spec):
+        response = service.handle_request(
+            service.build_request(user(demo_manifest, 0), PATIENT, PUBLIC_HEALTH)
+        )
+        assert len(response.records.variables) == 1
+        assert len(response.records) == demo_spec.patient_count
+        self.assert_body(response)
+        self.assert_body(replace(response, records=BindingSet(("x",), [(t,) for t in ODD_TERMS])))
+        # a second reply reuses the texts the first one built
+        self.assert_body(response)
+
+    def test_multi_and_zero_column_rows(self, service, demo_manifest):
+        response = service.handle_request(
+            service.build_request(user(demo_manifest, 0), PATIENT, PUBLIC_HEALTH)
+        )
+        pairs = BindingSet(("s", "o"), [(a, b) for a in ODD_TERMS[:3] for b in ODD_TERMS])
+        self.assert_body(replace(response, records=pairs))
+        self.assert_body(replace(response, records=BindingSet(("a", "b", "c"), [tuple(ODD_TERMS[:3])])))
+        self.assert_body(replace(response, records=BindingSet((), [()])))
+
+    def test_empty_rows(self, service, demo_manifest):
+        response = service.handle_request(
+            service.build_request(user(demo_manifest, 6), SYMPTOM, IRB)
+        )
+        assert response.records is not None and len(response.records) == 0
+        assert '"rows": []' in response.to_json()
+        self.assert_body(response)
+        self.assert_body(replace(response, records=BindingSet(("s", "o"), [])))
+
+    def test_refused_decision(self, service, demo_manifest):
+        response = service.handle_request(
+            service.build_request(user(demo_manifest, 7), PATIENT, PUBLIC_HEALTH)
+        )
+        assert response.records is None
+        self.assert_body(response)
+
+    def test_lockout_response(self, service, demo_manifest):
+        request = service.build_request(user(demo_manifest, 6), SYMPTOM, IRB)
+        for _ in range(51):
+            response = service.handle_request(request)
+        assert response.decision.lockout_triggered is True
+        assert response.custodian_notices[0]["type"] == "lockout"
+        self.assert_body(response)
 
 
 class TestPropagationQueue:

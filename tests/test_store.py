@@ -1,3 +1,6 @@
+import json
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,14 +13,20 @@ from trustgate.store import (
     XSD_FLOAT,
     Graph,
     LineFormatError,
+    IRI,
+    PLAIN_LITERAL,
+    TYPED_LITERAL,
+    Term,
     TermError,
     Triple,
     TriplePattern,
     Var,
     iri,
+    json_term,
     load_lines,
     plain,
     serialize_lines,
+    serialize_term,
     typed,
 )
 
@@ -234,6 +243,10 @@ class TestMatchProperties:
             assert len(g) == len(shadow)
         universal = TriplePattern(Var("s"), Var("p"), Var("o"))
         assert set(g.match(universal)) == shadow
+        # iteration rebuilds triples from the indexes: each one exactly once
+        listed = list(g)
+        assert len(listed) == len(shadow) and set(listed) == shadow
+        assert all(trip in g for trip in shadow)
 
 
 class TestLineFormat:
@@ -332,6 +345,57 @@ class TestLineFormat:
                 for second, thirds in seconds.items():
                     assert seen[second] is second
                     assert all(seen[third] is third for third in thirds)
+
+
+# quotes, backslashes, control characters, non-ASCII text and lone
+# surrogates, beside arbitrary code points
+_json_chars = st.one_of(
+    st.sampled_from('"\\\n\r\t\x00\x1f\x7f\u2028é漢😀\ud800\udfff'),
+    st.characters(exclude_categories=()),
+)
+_json_texts = st.text(_json_chars, max_size=20)
+_iri_texts = _json_texts.filter(lambda text: text and not re.search(r"\s", text))
+_json_terms = st.one_of(
+    st.builds(Term, st.just(IRI), _iri_texts),
+    st.builds(Term, st.just(PLAIN_LITERAL), _json_texts),
+    st.builds(Term, st.just(TYPED_LITERAL), _json_texts, _iri_texts.filter(lambda d: d != XSD_FLOAT)),
+    st.builds(typed, st.decimals(allow_nan=False, allow_infinity=False).map(str), st.just(XSD_FLOAT)),
+)
+
+
+class TestJsonTerm:
+    @settings(max_examples=300, deadline=None)
+    @given(_json_terms)
+    def test_equals_json_dumps_of_serialized_term(self, term):
+        assert json_term(term) == json.dumps(serialize_term(term))
+
+    def test_text_is_built_once_and_kept_on_the_term(self):
+        term = plain('say "hi"\n')
+        first = json_term(term)
+        assert json_term(term) is first
+        # an equal term built apart gets its own, equal text
+        assert json_term(plain('say "hi"\n')) == first
+
+    def test_loading_fills_no_json_text(self):
+        g = Graph()
+        load_lines(g, '<s:a> <p:p> "x" .\n<s:a> <p:q> <s:b> .\n')
+        for trip in g:
+            for term in (trip.subject, trip.predicate, trip.object):
+                assert not hasattr(term, "_json")
+
+
+class TestIdentityEquality:
+    def test_term_and_triple_equal_to_themselves_and_to_copies(self):
+        term = typed("0.5", XSD_FLOAT)
+        assert term == term and not (term != term)
+        assert term == typed("0.5", XSD_FLOAT)
+        assert term != typed("0.50", XSD_FLOAT)
+        trip = Triple(iri("s:a"), iri("p:p"), term)
+        assert trip == trip
+        assert trip == Triple(iri("s:a"), iri("p:p"), typed("0.5", XSD_FLOAT))
+        assert trip == Triple(trip.subject, trip.predicate, typed("0.5", XSD_FLOAT))
+        assert trip != Triple(trip.subject, trip.predicate, plain("0.5"))
+        assert trip != (trip.subject, trip.predicate, term)
 
 
 def index_triples(graph):
