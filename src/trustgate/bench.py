@@ -124,7 +124,7 @@ def _build_service(spec: GeneratorSpec, **kwargs) -> ExchangeMiddleware:
     graph = Graph()
     bootstrap_vocabulary(graph)
     generate_dataset(spec, into=graph)
-    return ExchangeMiddleware(graph, keep_log=False, **kwargs)
+    return ExchangeMiddleware(graph, **kwargs)
 
 
 def run_latency(
@@ -146,7 +146,7 @@ def run_latency(
         spec = GeneratorSpec(seed=seed, patient_count=size)
         if datasets is not None and size in datasets:
             graph = datasets[size]
-            service = ExchangeMiddleware(graph, keep_log=False)
+            service = ExchangeMiddleware(graph)
         else:
             if datasets is not None:
                 logger.warning("no dataset supplied for size %d; generating from seed", size)
@@ -261,7 +261,6 @@ def run_trajectory(
         graph,
         penalties=penalties or PenaltyConfig(),
         assessment=assessment or AssessmentConfig(),
-        keep_log=False,
     )
     manifest = demographics_manifest(spec)
     wiring = _wire_scenarios(service, manifest)

@@ -77,7 +77,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_trust(args) -> int:
     graph = _load_graph(args.data)
-    service = ExchangeMiddleware(graph, keep_log=False)
+    service = ExchangeMiddleware(graph)
     print(json.dumps(service.trust_record_dict(args.principal), indent=2, sort_keys=True))
     return 0
 

@@ -3,10 +3,11 @@ trust registry, mutates scores, retrieves data, and ships score updates to
 peer nodes.
 
 Every request executes in order: lockout check, recipient policy checks,
-custodian checks, trust assessment, grant or deny, penalties, retrieval,
-projection refresh, update enqueue, transaction log. The four instrumented
-stages are timed with a monotonic clock so the benchmark harness measures
-the real code path.
+custodian checks, trust assessment, grant or deny, penalties, projection
+refresh, update enqueue, retrieval, transaction log. The four instrumented
+stages are timed with a monotonic clock (the two policy stages inside
+`PolicyEngine.evaluate`) so the benchmark harness measures the real code
+path.
 """
 
 from __future__ import annotations
@@ -27,12 +28,13 @@ from . import ontology as vocab
 from .ontology import DuaRecord, OntologyError, PrincipalRef
 from .policy import (
     PENALTY_TARGET,
+    STAGE_CREDIBILITY,
+    STAGE_POLICY,
     ComplianceResult,
     DataRequest,
     PolicyEngine,
     PolicyError,
     PolicyTemplate,
-    assemble_result,
     render_term,
 )
 from .query import BindingSet, eval_select, parse
@@ -55,8 +57,6 @@ from .trust import (
 
 logger = logging.getLogger(__name__)
 
-STAGE_POLICY = "recipientPolicyCheck"
-STAGE_CREDIBILITY = "dataCredibilityCheck"
 STAGE_TRUST_UPDATE = "trustScoreUpdate"
 STAGE_RETRIEVAL = "dataRetrieval"
 STAGES = (STAGE_POLICY, STAGE_CREDIBILITY, STAGE_TRUST_UPDATE, STAGE_RETRIEVAL)
@@ -298,7 +298,6 @@ class ExchangeMiddleware:
         policies: Optional[list[PolicyTemplate]] = None,
         node_id: str = "node-1",
         peers: Iterable[str] = (),
-        keep_log: bool = True,
         log_path: Optional[str] = None,
         completeness_sample: int = 25,
         http_timeout: float = 5.0,
@@ -311,8 +310,6 @@ class ExchangeMiddleware:
         self.registry = TrustRegistry(graph)
         self.engine = PolicyEngine(graph, templates=policies, completeness_sample=completeness_sample)
         self.peers = list(peers)
-        self.keep_log = keep_log
-        self.log: list[dict] = []
         self._log_file = open(log_path, "a", encoding="utf-8") if log_path else None
         self._http_timeout = http_timeout
         self._lock = RWLock()
@@ -406,24 +403,14 @@ class ExchangeMiddleware:
             self._append_log(request, response)
             return response
 
-        clock = time.perf_counter
         with self._lock.read():
-            t0 = clock()
-            user_outcomes = self.engine.evaluate_user_policies(request)
-            timings[STAGE_POLICY] += clock() - t0
-            compliant = all(passed for _, passed in user_outcomes)
-            t0 = clock()
-            if compliant:
-                has_data, complete = self.engine.evaluate_custodian(request)
-            else:
-                has_data, complete = None, None
-            timings[STAGE_CREDIBILITY] += clock() - t0
-        compliance = assemble_result(user_outcomes, compliant, has_data, complete)
+            compliance = self.engine.evaluate(request, timings)
 
         # the score mutation and its projection commit before any data moves
+        clock = time.perf_counter
         t0 = clock()
         assessment = registry.assess(user.iri, self.assessment_cfg)
-        granted = compliant and assessment.passed
+        granted = compliance.compliant and assessment.passed
         applied: list[AppliedPenalty] = []
         notices: list[dict] = []
         penalty = self.engine.penalty_for(compliance)
@@ -612,7 +599,7 @@ class ExchangeMiddleware:
     # -- transaction log --------------------------------------------------------
 
     def _append_log(self, request: DataRequest, response: DataResponse) -> None:
-        if not self.keep_log and self._log_file is None:
+        if self._log_file is None:
             return
         record = {
             "requestId": request.request_id,
@@ -621,11 +608,8 @@ class ExchangeMiddleware:
             "penalties": [p.to_dict() for p in response.decision.applied_penalties],
             "timings": dict(response.timings),
         }
-        if self.keep_log:
-            self.log.append(record)
-        if self._log_file is not None:
-            self._log_file.write(json.dumps(record, sort_keys=True) + "\n")
-            self._log_file.flush()
+        self._log_file.write(json.dumps(record, sort_keys=True) + "\n")
+        self._log_file.flush()
 
     def replay_log(self, records: Iterable) -> int:
         """Re-run the logged requests; with the same initial state this

@@ -40,6 +40,10 @@ P_REQUESTED_DATA = "requested-data-in-dua"
 P_CUSTODIAN_HAS_CATEGORY = "custodian-has-category"
 P_PURPOSE_PERMITTED = "purpose-permitted"
 
+# the two stages `PolicyEngine.evaluate` times
+STAGE_POLICY = "recipientPolicyCheck"
+STAGE_CREDIBILITY = "dataCredibilityCheck"
+
 POLICY_ORDER = (P_DUA_EXISTS, P_REQUESTED_DATA, P_CUSTODIAN_HAS_CATEGORY, P_PURPOSE_PERMITTED)
 
 PENALTY_TARGET = {
@@ -245,28 +249,6 @@ def penalty_for(result: ComplianceResult) -> Optional[str]:
     return None
 
 
-def assemble_result(
-    user_outcomes: list[tuple[str, Optional[bool]]],
-    compliant: bool,
-    has_data: Optional[bool],
-    complete: Optional[bool],
-) -> ComplianceResult:
-    """Arrange per-policy outcomes in presentation order: the built-in four,
-    then any deployment-loaded policies."""
-    by_id = dict(user_outcomes)
-    by_id[P_CUSTODIAN_HAS_CATEGORY] = has_data
-    per_policy = [(pid, by_id.get(pid)) for pid in POLICY_ORDER]
-    per_policy.extend(
-        (pid, passed) for pid, passed in user_outcomes if pid not in POLICY_ORDER
-    )
-    return ComplianceResult(
-        per_policy=tuple(per_policy),
-        compliant=compliant,
-        custodian_has_data=has_data,
-        custodian_complete=complete,
-    )
-
-
 def completeness_probe(graph: Graph, category: Term, sample_size: int = 25) -> bool:
     """True iff every declared property group of the category has at least
     one triple on at least one sampled instance.
@@ -286,6 +268,41 @@ def completeness_probe(graph: Graph, category: Term, sample_size: int = 25) -> b
     return True
 
 
+# entries past this many clear the whole table
+_TABLE_LIMIT = 8192
+
+
+class _Compiled:
+    """One instantiated query (or the completeness probe, with no AST): the
+    ground predicates it reads, its join plan with the graph size the plan
+    was built at, and its last (fingerprint, outcome).
+
+    The last outcome is one tuple, so a racing reader never pairs one
+    fingerprint with another's outcome; fingerprints only grow, so keeping
+    only the last loses no hit.
+    """
+
+    __slots__ = ("ast", "deps", "plan", "last")
+
+    def __init__(self, ast: Optional[QueryAst], deps: Optional[tuple]):
+        self.ast = ast
+        self.deps = deps
+        self.plan: Optional[tuple[list, int]] = None
+        self.last: Optional[tuple] = None
+
+
+def _dependencies(ast: QueryAst) -> Optional[tuple]:
+    """Ground predicates the query reads, or None if any pattern has a
+    variable predicate (then any mutation may affect it)."""
+    preds = []
+    for pattern in ast.bgp:
+        if not isinstance(pattern.predicate, Term):
+            return None
+        if pattern.predicate not in preds:
+            preds.append(pattern.predicate)
+    return tuple(preds)
+
+
 class PolicyEngine:
     """Evaluates the policy set for requests against one graph."""
 
@@ -301,98 +318,69 @@ class PolicyEngine:
             if builtin not in self.templates:
                 raise PolicyError(f"missing built-in policy: {builtin}")
         self.completeness_sample = completeness_sample
-        # every per-query cache is keyed by value: the template id plus the
-        # sorted substitutions, never by the id() of an AST that may be freed
-        self._ast_cache: dict[tuple, QueryAst] = {}
-        # join plans are stable while the graph's shape is; recompute when
-        # its size drifts past 2x either way
-        self._plan_cache: dict[tuple, tuple[list, int]] = {}
-        # pure ASK/probe outcomes, fingerprinted by the mutation counters of
-        # the predicates each query reads: mutations elsewhere cannot change
-        # the outcome, so they stay cached across unrelated graph writes
-        self._result_cache: dict[tuple, bool] = {}
-        self._deps_cache: dict[tuple, Optional[tuple]] = {}
-        self._label_cache: dict[str, str] = {}
-        self._render_cache: dict[str, str] = {}
+        # one entry per instantiated query, keyed by value: the template id
+        # plus the request fields its placeholders take
+        self._compiled: dict[tuple, _Compiled] = {}
 
     def add_template(self, template: PolicyTemplate) -> None:
         self.templates[template.id] = template
+        self._compiled.clear()
 
     def _custodian_label(self, custodian_iri: str) -> str:
-        label = self._label_cache.get(custodian_iri)
-        if label is not None:
-            return label
         for value in self.graph.objects_for(iri(custodian_iri), vocab.RDFS_LABEL):
-            self._label_cache[custodian_iri] = value.lexical
             return value.lexical
         raise PolicyError(f"custodian has no label in the graph: {custodian_iri}")
 
-    def _rendered(self, iri_value: str, category: bool = False) -> str:
-        key = ("c:" if category else "t:") + iri_value
-        text = self._render_cache.get(key)
-        if text is None:
-            text = (
-                render_category(iri_value, self.graph)
-                if category
-                else render_term(iri_value, self.graph)
-            )
-            self._render_cache[key] = text
-        return text
+    def _outcome(self, key: tuple, compile, run) -> bool:
+        """`run(entry)` for the entry at `key`, which `compile()` builds on a
+        miss; reused while the predicates the entry reads are unchanged."""
+        entry = self._compiled.get(key)
+        if entry is None:
+            entry = compile()
+            if len(self._compiled) >= _TABLE_LIMIT:
+                self._compiled.clear()
+            self._compiled[key] = entry
+        deps = entry.deps
+        graph = self.graph
+        fingerprint = (
+            graph.version if deps is None else tuple(graph.predicate_version(p) for p in deps)
+        )
+        last = entry.last
+        if last is not None and last[0] == fingerprint:
+            return last[1]
+        outcome = run(entry)
+        entry.last = (fingerprint, outcome)
+        return outcome
 
-    def _ast(self, key: tuple, template: PolicyTemplate, substitutions: dict[str, str]) -> QueryAst:
-        ast = self._ast_cache.get(key)
-        if ast is None:
+    def _ask(self, key: tuple, request: DataRequest, inventory: tuple = ()) -> bool:
+        """Outcome of the policy `key[0]` for the request; the query text is
+        instantiated and parsed only when `key` has no entry yet."""
+        def compile():
+            template = self.templates[key[0]]
+            wanted = template.placeholders()
+            substitutions = {
+                "userLabel": request.user.label,
+                "custodianLabel": self._custodian_label(request.custodian),
+            }
+            if "categoryIri" in wanted:
+                substitutions["categoryIri"] = render_category(request.category, self.graph)
+            if "purposeIri" in wanted:
+                substitutions["purposeIri"] = render_term(request.purpose, self.graph)
+            if inventory:
+                substitutions["categoryList"] = render_category_list(list(inventory), self.graph)
             ast = parse(instantiate(template, substitutions))
-            if len(self._ast_cache) > 8192:
-                self._ast_cache.clear()
-                self._plan_cache.clear()
-                self._deps_cache.clear()
-            self._ast_cache[key] = ast
-        return ast
+            return _Compiled(ast, _dependencies(ast))
 
-    def _plan(self, key: tuple, ast: QueryAst) -> list:
+        return self._outcome(key, compile, self._run_ask)
+
+    def _run_ask(self, entry: _Compiled) -> bool:
+        # join plans are stable while the graph's shape is; recompute when
+        # its size drifts past 2x either way
         size = len(self.graph)
-        cached = self._plan_cache.get(key)
-        if cached is not None:
-            plan, at_size = cached
-            if size <= 2 * at_size and at_size <= 2 * size:
-                return plan
-        plan = compile_plan(ast, self.graph)
-        self._plan_cache[key] = (plan, size)
-        return plan
-
-    def _dependencies(self, key: tuple, ast: QueryAst) -> Optional[tuple]:
-        """Ground predicates the query reads, or None if any pattern has a
-        variable predicate (then any mutation may affect it)."""
-        if key in self._deps_cache:
-            return self._deps_cache[key]
-        preds = []
-        for pattern in ast.bgp:
-            if not isinstance(pattern.predicate, Term):
-                preds = None
-                break
-            if pattern.predicate not in preds:
-                preds.append(pattern.predicate)
-        deps = self._deps_cache[key] = tuple(preds) if preds is not None else None
-        return deps
-
-    def _fingerprint(self, deps: Optional[tuple]):
-        if deps is None:
-            return self.graph.version
-        return tuple(self.graph.predicate_version(p) for p in deps)
-
-    def _ask(self, policy_id: str, substitutions: dict[str, str]) -> bool:
-        query_key = (policy_id,) + tuple(sorted(substitutions.items()))
-        ast = self._ast(query_key, self.templates[policy_id], substitutions)
-        key = (query_key, self._fingerprint(self._dependencies(query_key, ast)))
-        cached = self._result_cache.get(key)
-        if cached is not None:
-            return cached
-        result = eval_ask(ast, self.graph, plan=self._plan(query_key, ast))
-        if len(self._result_cache) > 8192:
-            self._result_cache.clear()
-        self._result_cache[key] = result
-        return result
+        plan = entry.plan
+        if plan is None or size > 2 * plan[1] or plan[1] > 2 * size:
+            entry.plan = plan = (compile_plan(entry.ast, self.graph), size)
+        return eval_ask(entry.ast, self.graph, plan=plan[0])
 
     def custodian_inventory(self, custodian_iri: str) -> list[str]:
         values = [
@@ -413,10 +401,6 @@ class PolicyEngine:
 
         Deployment-loaded user-side policies run after the built-in chain.
         """
-        base = {
-            "userLabel": request.user.label,
-            "custodianLabel": self._custodian_label(request.custodian),
-        }
         outcomes: list[tuple[str, Optional[bool]]] = []
         failed = False
         for policy_id in (P_DUA_EXISTS, P_REQUESTED_DATA, P_PURPOSE_PERMITTED) + tuple(
@@ -425,13 +409,15 @@ class PolicyEngine:
             if failed:
                 outcomes.append((policy_id, None))
                 continue
-            substitutions = dict(base)
             wanted = self.templates[policy_id].placeholders()
-            if "categoryIri" in wanted:
-                substitutions["categoryIri"] = self._rendered(request.category, category=True)
-            if "purposeIri" in wanted:
-                substitutions["purposeIri"] = self._rendered(request.purpose)
-            passed = self._ask(policy_id, substitutions)
+            key = (
+                policy_id,
+                request.user.label,
+                request.custodian,
+                request.category if "categoryIri" in wanted else None,
+                request.purpose if "purposeIri" in wanted else None,
+            )
+            passed = self._ask(key, request)
             outcomes.append((policy_id, passed))
             failed = failed or not passed
         return outcomes
@@ -454,36 +440,51 @@ class PolicyEngine:
 
     def evaluate_custodian(self, request: DataRequest) -> tuple[bool, Optional[bool]]:
         """Custodian-side checks: category held, then property completeness."""
-        inventory = self.custodian_inventory(request.custodian)
+        inventory = tuple(self.custodian_inventory(request.custodian))
         if not inventory:
             return False, None
-        substitutions = {
-            "userLabel": request.user.label,
-            "custodianLabel": self._custodian_label(request.custodian),
-            "categoryList": render_category_list(inventory, self.graph),
-        }
-        has_data = self._ask(P_CUSTODIAN_HAS_CATEGORY, substitutions)
-        if not has_data:
+        key = (P_CUSTODIAN_HAS_CATEGORY, request.user.label, request.custodian, inventory)
+        if not self._ask(key, request, inventory):
             return False, None
         category = iri(request.category)
-        probe_deps = (vocab.RDF_TYPE,) + vocab.CATEGORY_PROPERTY_GROUPS.get(category, ())
-        probe_key = ("probe", request.category, self._fingerprint(probe_deps))
-        complete = self._result_cache.get(probe_key)
-        if complete is None:
-            complete = completeness_probe(self.graph, category, self.completeness_sample)
-            self._result_cache[probe_key] = complete
-        return True, complete
+        deps = (vocab.RDF_TYPE,) + vocab.CATEGORY_PROPERTY_GROUPS.get(category, ())
+        return True, self._outcome(
+            ("probe", request.category),
+            lambda: _Compiled(None, deps),
+            lambda _: completeness_probe(self.graph, category, self.completeness_sample),
+        )
 
-    def evaluate(self, request: DataRequest) -> ComplianceResult:
+    def evaluate(self, request: DataRequest, timings: Optional[dict] = None) -> ComplianceResult:
         """Full verdict: recipient policies, then custodian checks when the
-        recipient side is compliant."""
+        recipient side is compliant.
+
+        `timings`, when given, receives the seconds spent on each side under
+        the STAGE_POLICY and STAGE_CREDIBILITY names.
+        """
+        t0 = time.perf_counter()
         user_outcomes = self.evaluate_user_policies(request)
+        t1 = time.perf_counter()
         compliant = all(passed for _, passed in user_outcomes)
         has_data: Optional[bool] = None
         complete: Optional[bool] = None
         if compliant:
             has_data, complete = self.evaluate_custodian(request)
-        return assemble_result(user_outcomes, compliant, has_data, complete)
+        if timings is not None:
+            timings[STAGE_POLICY] = t1 - t0
+            timings[STAGE_CREDIBILITY] = time.perf_counter() - t1
+        # presentation order: the built-in four, then deployment-loaded policies
+        by_id = dict(user_outcomes)
+        by_id[P_CUSTODIAN_HAS_CATEGORY] = has_data
+        per_policy = [(pid, by_id.get(pid)) for pid in POLICY_ORDER]
+        per_policy.extend(
+            (pid, passed) for pid, passed in user_outcomes if pid not in POLICY_ORDER
+        )
+        return ComplianceResult(
+            per_policy=tuple(per_policy),
+            compliant=compliant,
+            custodian_has_data=has_data,
+            custodian_complete=complete,
+        )
 
 
 _DUMMY_SUBSTITUTIONS = {

@@ -212,7 +212,6 @@ class TrustRegistry:
         self._graph = graph
         self._events: list[tuple[str, str, Decimal, int]] = []
         self._subjects: dict[str, object] = {}
-        self._projected: dict[str, int] = {}
 
     # -- lifecycle -------------------------------------------------------
 
@@ -444,37 +443,15 @@ class TrustRegistry:
             )
         self._refresh_projection(record)
 
-    def refresh_projection(self, principal_iri: str) -> None:
-        self._refresh_projection(self.get(principal_iri))
-
     def touch_projection(self, principal_iri: str) -> None:
-        """Rewrite the principal's projected score triples unconditionally:
-        the per-transaction delete-then-insert score write of the exchange
-        cycle. Also repairs any drift introduced by direct graph updates."""
-        if self._graph is None:
-            return
+        """Make the principal's projected score triples match its record:
+        the per-transaction score write of the exchange cycle. Writes nothing
+        when they already match, and repairs drift from direct graph updates."""
         with self._lock:
-            record = self.get(principal_iri)
-            graph = self._graph
-            subject = self._subjects.get(principal_iri)
-            if subject is None:
-                subject = iri(principal_iri)
-                self._subjects[principal_iri] = subject
-            for value, predicate in (
-                (record.behavior, BEHAVIOR_TRUST),
-                (record.identity, IDENTITY_TRUST),
-                (record.credibility, CREDIBILITY),
-            ):
-                for obj in list(graph.objects_for(subject, predicate)):
-                    graph.remove(Triple(subject, predicate, obj))
-                if value is not None:
-                    graph.insert(Triple(subject, predicate, score_term(value)))
-            self._projected[principal_iri] = record.version
+            self._refresh_projection(self.get(principal_iri))
 
     def _refresh_projection(self, record: TrustRecord) -> None:
         if self._graph is None:
-            return
-        if self._projected.get(record.principal.iri) == record.version:
             return
         graph = self._graph
         subject = self._subjects.get(record.principal.iri)
@@ -495,4 +472,3 @@ class TrustRegistry:
                     graph.remove(Triple(subject, predicate, obj))
             if wanted is not None and wanted not in graph.objects_for(subject, predicate):
                 graph.insert(Triple(subject, predicate, wanted))
-        self._projected[record.principal.iri] = record.version

@@ -6,6 +6,7 @@ patients and takes a few minutes.
 """
 
 import itertools
+import json
 import random
 import time
 from contextlib import contextmanager
@@ -410,9 +411,7 @@ def test_c8_convergence():
             graph = Graph()
             bootstrap_vocabulary(graph)
             generate_dataset(spec, into=graph)
-            return ExchangeMiddleware(
-                graph, node_id=node_id, peers=["memory://peer"], keep_log=False
-            )
+            return ExchangeMiddleware(graph, node_id=node_id, peers=["memory://peer"])
 
         nodes = [build(f"node-{i}") for i in range(3)]
         manifest = demographics_manifest(spec)
@@ -465,18 +464,19 @@ def test_c8_convergence():
         ), "harness produced no mutations"
 
 
-def test_c9_replay_determinism():
+def test_c9_replay_determinism(tmp_path):
     with criterion("C9 replay-determinism"):
         spec = GeneratorSpec(seed=11, patient_count=24)
         manifest = demographics_manifest(spec)
+        path = tmp_path / "transactions.ldjson"
 
-        def build():
+        def build(log_path=None):
             graph = Graph()
             bootstrap_vocabulary(graph)
             generate_dataset(spec, into=graph)
-            return ExchangeMiddleware(graph, node_id="node-replay")
+            return ExchangeMiddleware(graph, node_id="node-replay", log_path=log_path)
 
-        first = build()
+        first = build(str(path))
         rng = random.Random(31337)
         categories = [PATIENT, OBSERVATION, SYMPTOM, SYN_NS + "Encounter"]
         purposes = [PUBLIC_HEALTH, IRB, HCO]
@@ -489,8 +489,10 @@ def test_c9_replay_determinism():
                 request_id=f"txn-{i:04d}",
             )
             first.handle_request(request)
-        assert len(first.log) == 1000
+        first.close()
+        log = [json.loads(line) for line in path.read_text().splitlines()]
+        assert len(log) == 1000
 
         replayed = build()
-        assert replayed.replay_log(list(first.log)) == 1000
+        assert replayed.replay_log(log) == 1000
         assert replayed.registry.snapshot() == first.registry.snapshot()

@@ -204,7 +204,7 @@ class TestPropagationOverHttp:
         graph = Graph()
         bootstrap_vocabulary(graph)
         generate_dataset(spec, into=graph)
-        return ExchangeMiddleware(graph, node_id=node_id, peers=list(peers), keep_log=False)
+        return ExchangeMiddleware(graph, node_id=node_id, peers=list(peers))
 
     def test_two_peers_ack_and_queue_drains(self, demo_spec, demo_manifest):
         node_b = self.build_node(demo_spec, "node-b")

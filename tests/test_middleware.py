@@ -20,7 +20,7 @@ from trustgate.middleware import (
 )
 from trustgate.ontology import DuaRecord, bootstrap_vocabulary
 from trustgate.query import BindingSet
-from trustgate.store import XSD_FLOAT, Graph, SYN_NS, iri, plain, serialize_term, typed
+from trustgate.store import XSD_FLOAT, Graph, SYN_NS, Triple, iri, plain, serialize_term, typed
 from trustgate.synth import GeneratorSpec, demographics_manifest, generate_dataset
 from trustgate.trust import UnknownPrincipalError
 
@@ -44,6 +44,11 @@ def stripped_service(stripped_graph):
 
 def user(manifest, index):
     return manifest.users[index].iri
+
+
+def read_log(path):
+    """The transaction records a service appended to its log file."""
+    return [json.loads(line) for line in path.read_text().splitlines()]
 
 
 class TestExchangeCycle:
@@ -155,7 +160,7 @@ class TestRetrieve:
         graph = Graph()
         spec = GeneratorSpec(seed=21, patient_count=1000)
         generate_dataset(spec, into=graph)
-        service = ExchangeMiddleware(graph, keep_log=False)
+        service = ExchangeMiddleware(graph)
         manifest = demographics_manifest(spec)
         request = service.build_request(manifest.users[0].iri, PATIENT, PUBLIC_HEALTH)
         response = service.handle_request(request)
@@ -370,14 +375,41 @@ class TestReceiveScores:
         assert service.trust_record_dict(stranger)["kind"] == "organization"
 
 
+class TestScoreProjection:
+    def test_repeated_clean_request_writes_nothing(self, service, demo_manifest):
+        service.handle_request(service.build_request(user(demo_manifest, 0), PATIENT, PUBLIC_HEALTH))
+        version = service.graph.version
+        response = service.handle_request(
+            service.build_request(user(demo_manifest, 0), PATIENT, PUBLIC_HEALTH)
+        )
+        assert response.decision.granted is True
+        assert service.graph.version == version
+
+    def test_request_repairs_hand_edited_score_triples(self, service, demo_manifest):
+        graph = service.graph
+        principal = iri(user(demo_manifest, 0))
+        org = iri(demo_manifest.users[0].org_iri)
+        (behavior,) = graph.objects_for(principal, vocab.BEHAVIOR_TRUST)
+        assert graph.remove(Triple(principal, vocab.BEHAVIOR_TRUST, behavior))
+        (identity,) = graph.objects_for(org, vocab.IDENTITY_TRUST)
+        graph.insert(Triple(org, vocab.IDENTITY_TRUST, typed("0.5", XSD_FLOAT)))
+        service.handle_request(service.build_request(user(demo_manifest, 0), PATIENT, PUBLIC_HEALTH))
+        assert list(graph.objects_for(principal, vocab.BEHAVIOR_TRUST)) == [behavior]
+        assert list(graph.objects_for(org, vocab.IDENTITY_TRUST)) == [identity]
+
+
 class TestTransactionLog:
-    def test_log_carries_request_and_timings(self, service, demo_manifest):
+    def test_log_carries_request_and_timings(self, demo_graph, demo_manifest, tmp_path):
+        path = tmp_path / "transactions.ldjson"
+        service = ExchangeMiddleware(demo_graph, node_id="node-a", log_path=str(path))
         request = service.build_request(
             user(demo_manifest, 0), PATIENT, PUBLIC_HEALTH, request_id="req-1"
         )
         service.handle_request(request)
-        assert len(service.log) == 1
-        entry = service.log[0]
+        service.close()
+        log = read_log(path)
+        assert len(log) == 1
+        entry = log[0]
         assert entry["requestId"] == "req-1"
         assert entry["request"]["category"] == PATIENT
         assert set(entry["timings"]) == {
@@ -402,7 +434,7 @@ class TestTransactionLog:
             graph = Graph()
             bootstrap_vocabulary(graph)
             generate_dataset(demo_spec, into=graph)
-            return ExchangeMiddleware(graph, log_path=log_path, keep_log=False)
+            return ExchangeMiddleware(graph, log_path=log_path)
 
         first = build(log_path=str(path))
         for i in range(20):
@@ -418,14 +450,16 @@ class TestTransactionLog:
             assert replayed.replay_log(handle) == 20
         assert replayed.registry.snapshot() == first.registry.snapshot()
 
-    def test_replay_reproduces_registry(self, demo_spec, demo_manifest):
-        def build():
+    def test_replay_reproduces_registry(self, demo_spec, demo_manifest, tmp_path):
+        path = tmp_path / "txns.ldjson"
+
+        def build(log_path=None):
             graph = Graph()
             bootstrap_vocabulary(graph)
             generate_dataset(demo_spec, into=graph)
-            return ExchangeMiddleware(graph, node_id="node-a")
+            return ExchangeMiddleware(graph, node_id="node-a", log_path=log_path)
 
-        first = build()
+        first = build(str(path))
         rng = random.Random(42)
         categories = [PATIENT, OBSERVATION, SYMPTOM]
         purposes = [PUBLIC_HEALTH, IRB, HCO]
@@ -437,8 +471,9 @@ class TestTransactionLog:
                 request_id=f"replay-{i}",
             )
             first.handle_request(request)
+        first.close()
         replayed = build()
-        assert replayed.replay_log(list(first.log)) == 200
+        assert replayed.replay_log(read_log(path)) == 200
         assert replayed.registry.snapshot() == first.registry.snapshot()
 
 

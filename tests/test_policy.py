@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 
 import pytest
 
@@ -23,7 +25,7 @@ from trustgate.policy import (
     register_builtin_policies,
 )
 from trustgate.query import parse
-from trustgate.store import SYN_NS, Graph, iri
+from trustgate.store import SYN_NS, Graph, Triple, iri
 from trustgate.trust import (
     DUA_VIOLATION,
     MISSING_CATEGORY,
@@ -195,18 +197,90 @@ class TestEvaluate:
                 assert after.outcome(pid) is True
 
     def test_verdict_survives_ast_cache_turnover(self, demo_graph, demo_manifest, monkeypatch):
-        # once the AST cache is cleared, CPython may place a new AST at a
-        # freed one's address; model that deterministically by giving every
-        # object one id, so any cache keyed on id() serves a stale verdict
+        # once the compiled-query table is cleared, CPython may place a new
+        # AST at a freed one's address; model that deterministically by
+        # giving every object one id, so any cache keyed on id() serves a
+        # stale verdict
         monkeypatch.setattr(policy_module, "id", lambda obj: 0, raising=False)
         engine = PolicyEngine(demo_graph)
         granted = engine.evaluate(request_for(demo_manifest, 0, PATIENT, PUBLIC_HEALTH))
         assert granted.outcome(P_DUA_EXISTS) is True
-        engine._ast_cache.clear()
+        engine._compiled.clear()
         # user index 7 belongs to the eighth organization, which has no agreement
         denied = engine.evaluate(request_for(demo_manifest, 7, PATIENT, PUBLIC_HEALTH))
         assert denied.outcome(P_DUA_EXISTS) is False
         assert penalty_for(denied) == NO_DUA_REQUEST
+
+    def test_one_engine_follows_agreement_and_inventory_writes(self, demo_graph, demo_manifest):
+        engine = PolicyEngine(demo_graph)
+        request = request_for(demo_manifest, 7, PATIENT, PUBLIC_HEALTH)
+        assert engine.evaluate(request).outcome(P_DUA_EXISTS) is False
+        write_dua(
+            demo_graph,
+            DuaRecord(
+                iri=SYN_NS + "dua_extra",
+                custodian=demo_manifest.custodian_iri,
+                recipient=demo_manifest.users[7].org_iri,
+                requested_data={PATIENT},
+                permitted_use={PUBLIC_HEALTH},
+            ),
+        )
+        granted = engine.evaluate(request)
+        assert granted.outcome(P_DUA_EXISTS) is True
+        assert granted.outcome(P_CUSTODIAN_HAS_CATEGORY) is True
+        # the custodian stops holding the only category the agreement requests
+        held = Triple(iri(demo_manifest.custodian_iri), vocab.HAS_DATA_CATEGORY, iri(PATIENT))
+        assert demo_graph.remove(held)
+        dropped = engine.evaluate(request)
+        assert dropped.compliant is True
+        assert dropped.outcome(P_CUSTODIAN_HAS_CATEGORY) is False
+        assert penalty_for(dropped) == MISSING_CATEGORY
+        demo_graph.insert(held)
+        assert engine.evaluate(request).outcome(P_CUSTODIAN_HAS_CATEGORY) is True
+
+    def test_compiled_table_is_bounded(self, demo_graph, demo_manifest, monkeypatch):
+        monkeypatch.setattr(policy_module, "_TABLE_LIMIT", 5)
+        engine = PolicyEngine(demo_graph)
+        for index in range(10):
+            engine.evaluate(request_for(demo_manifest, index, PATIENT, PUBLIC_HEALTH))
+            assert len(engine._compiled) <= 5
+        engine._compiled.clear()
+        engine.evaluate(request_for(demo_manifest, 0, PATIENT, PUBLIC_HEALTH))
+        # the completeness probe shares the one table
+        assert ("probe", PATIENT) in engine._compiled
+        denied = engine.evaluate(request_for(demo_manifest, 7, PATIENT, PUBLIC_HEALTH))
+        assert denied.outcome(P_DUA_EXISTS) is False
+
+    def test_shared_engine_under_thread_churn(self, demo_graph, demo_manifest, monkeypatch):
+        # readers share one table that keeps clearing; every verdict must
+        # still be the one a fresh engine gives
+        monkeypatch.setattr(policy_module, "_TABLE_LIMIT", 3)
+        requests = [request_for(demo_manifest, i, PATIENT, PUBLIC_HEALTH) for i in range(10)]
+        reference = PolicyEngine(demo_graph)
+        expected = [reference.evaluate(request) for request in requests]
+        engine = PolicyEngine(demo_graph)
+        errors = []
+
+        def worker(offset):
+            try:
+                for n in range(200):
+                    i = (n + offset) % len(requests)
+                    assert engine.evaluate(requests[i]) == expected[i]
+            except AssertionError as exc:  # pragma: no cover
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
 
     def test_unlabeled_custodian_is_error(self, demo_manifest):
         engine = PolicyEngine(Graph())
