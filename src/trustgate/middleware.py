@@ -21,6 +21,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import Decimal
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from operator import attrgetter
 from typing import Iterable, Optional
 from urllib.parse import unquote, urlparse
 
@@ -35,10 +36,9 @@ from .policy import (
     PolicyEngine,
     PolicyError,
     PolicyTemplate,
-    render_term,
 )
-from .query import BindingSet, eval_select, parse
-from .store import Graph, TermError, iri, json_term
+from .query import RDF_TYPE, SELECT, BindingSet, QueryAst, eval_select
+from .store import Graph, StoreError, TermError, TriplePattern, Var, iri, json_term
 from .trust import (
     BEHAVIOR,
     CREDIBILITY_SCORE,
@@ -246,11 +246,18 @@ class DataResponse:
         return json.loads(self.to_json())
 
 
+_MEMO_JSON = attrgetter("_json")
+
+
 def _row_texts(records: BindingSet) -> list[str]:
     """Each row's JSON array contents: its terms' texts joined by ", "."""
-    if len(records.variables) == 1:
-        return [json_term(t) for (t,) in records.rows]
-    return [", ".join([json_term(t) for t in row]) for row in records.rows]
+    column = records.column
+    if column is not None:
+        try:
+            return list(map(_MEMO_JSON, column))
+        except AttributeError:  # some term has no memoized text yet
+            return list(map(json_term, column))
+    return [", ".join(map(json_term, row)) for row in records.rows]
 
 
 def _request_to_dict(request: DataRequest) -> dict:
@@ -266,24 +273,59 @@ def _request_to_dict(request: DataRequest) -> dict:
     }
 
 
+def _text(data: dict, name: str, default: Optional[str] = None) -> str:
+    """`data[name]`, which must be a string; required when no default."""
+    value = data.get(name, default)
+    if not isinstance(value, str):
+        raise RequestValidationError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _texts(data: dict, name: str) -> list[str]:
+    values = data.get(name, [])
+    if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+        raise RequestValidationError(f"{name} must be a list of strings, got {values!r}")
+    return values
+
+
 def _request_from_dict(data: dict) -> DataRequest:
+    org = data.get("userOrg")
     user = PrincipalRef(
-        iri=data["user"],
+        iri=_text(data, "user"),
         kind=vocab.USER,
-        label=data.get("userLabel", ""),
-        affiliation=data.get("userOrg"),
+        label=_text(data, "userLabel", ""),
+        affiliation=None if org is None else _text(data, "userOrg"),
     )
     kwargs = {}
     if data.get("requestId"):
-        kwargs["request_id"] = data["requestId"]
-    if data.get("timestamp") is not None:
-        kwargs["timestamp"] = data["timestamp"]
+        kwargs["request_id"] = _text(data, "requestId")
+    timestamp = data.get("timestamp")
+    if timestamp is not None:
+        if not isinstance(timestamp, (int, float)) or isinstance(timestamp, bool):
+            raise RequestValidationError(f"timestamp must be a number, got {timestamp!r}")
+        kwargs["timestamp"] = timestamp
     return DataRequest(
         user=user,
-        custodian=data["custodian"],
-        category=data["category"],
-        purpose=data["purpose"],
+        custodian=_text(data, "custodian"),
+        category=_text(data, "category"),
+        purpose=_text(data, "purpose"),
         **kwargs,
+    )
+
+
+def _dua_from_dict(data: dict) -> DuaRecord:
+    return DuaRecord(
+        iri=_text(data, "iri"),
+        custodian=_text(data, "custodian"),
+        recipient=_text(data, "recipient"),
+        requested_data=frozenset(_texts(data, "requestedData")),
+        permitted_use=frozenset(_texts(data, "permittedUseOrDisclosure")),
+        term=_text(data, "term", ""),
+        termination_effect=_text(data, "terminationEffect", ""),
+        termination_cause=_text(data, "terminationCause", ""),
+        storage=_text(data, "storage", ""),
+        access=_text(data, "access", ""),
+        protections=_text(data, "protections", ""),
     )
 
 
@@ -316,7 +358,6 @@ class ExchangeMiddleware:
         self._prop_lock = threading.Lock()
         self._pending: list[ScoreUpdate] = []
         self._peer_cursor: dict[str, int] = {}
-        self._retrieve_cache: dict[str, object] = {}
         self._register_principals()
         # registration may emit events; initial scores are not propagated
         self.registry.take_events()
@@ -376,6 +417,13 @@ class ExchangeMiddleware:
                 raise UnknownPrincipalError(f"unknown user: {user.iri}")
             if not registry.is_registered(request.custodian):
                 raise UnknownPrincipalError(f"unknown custodian: {request.custodian}")
+            # the policies find the user by label, so a label or affiliation
+            # other than the registry's would be checked as someone else
+            known = registry.get(user.iri).principal
+            if (user.label, user.affiliation) != (known.label, known.affiliation):
+                raise RequestValidationError(
+                    f"user label or affiliation differs from the record of {user.iri}"
+                )
             org = user.affiliation
             if org is None or not registry.is_registered(org):
                 raise RequestValidationError(f"user has no registered affiliation: {user.iri}")
@@ -478,11 +526,9 @@ class ExchangeMiddleware:
 
     def retrieve(self, category_iri: str) -> BindingSet:
         """All instances of the category, one row each."""
-        ast = self._retrieve_cache.get(category_iri)
-        if ast is None:
-            text = f"SELECT ?x WHERE {{ ?x a {render_term(category_iri, self.graph)} . }}"
-            ast = parse(text)
-            self._retrieve_cache[category_iri] = ast
+        ast = QueryAst(
+            SELECT, bgp=[TriplePattern(Var("x"), RDF_TYPE, iri(category_iri))], projection=["x"]
+        )
         return eval_select(ast, self.graph)
 
     # -- score propagation -----------------------------------------------------
@@ -717,27 +763,15 @@ class _Handler(BaseHTTPRequestHandler):
                 applied = service.receive_scores(updates)
                 self._reply(200, {"applied": applied})
             elif path == "/admin/dua":
-                record = DuaRecord(
-                    iri=body["iri"],
-                    custodian=body["custodian"],
-                    recipient=body["recipient"],
-                    requested_data=frozenset(body.get("requestedData", [])),
-                    permitted_use=frozenset(body.get("permittedUseOrDisclosure", [])),
-                    term=body.get("term", ""),
-                    termination_effect=body.get("terminationEffect", ""),
-                    termination_cause=body.get("terminationCause", ""),
-                    storage=body.get("storage", ""),
-                    access=body.get("access", ""),
-                    protections=body.get("protections", ""),
-                )
-                self._reply(200, service.admin_rewrite_dua(record))
+                self._reply(200, service.admin_rewrite_dua(_dua_from_dict(body)))
             else:
                 self._reply(404, {"error": f"no such path: {path}"})
         except UnknownPrincipalError as exc:
             self._reply(404, {"error": str(exc)})
         except (LockStateError, DuaMismatchError) as exc:
             self._reply(409, {"error": str(exc)})
-        except (RequestValidationError, PolicyError, OntologyError, TrustError, KeyError) as exc:
+        except (RequestValidationError, PolicyError, OntologyError, TrustError, StoreError,
+                KeyError) as exc:
             self._reply(400, {"error": str(exc)})
         except Exception as exc:  # pragma: no cover - last-resort guard
             logger.exception("request failed")
@@ -746,8 +780,10 @@ class _Handler(BaseHTTPRequestHandler):
     def _fill_request(self, body: dict) -> dict:
         service = self.server.service
         data = dict(body)
-        if "userLabel" not in data or "userOrg" not in data:
-            record = service.registry.get(data["user"])
+        user = data.get("user")
+        # a user that is not a string is refused by _request_from_dict
+        if isinstance(user, str) and ("userLabel" not in data or "userOrg" not in data):
+            record = service.registry.get(user)
             data.setdefault("userLabel", record.principal.label)
             data.setdefault("userOrg", record.principal.affiliation)
         data.setdefault("custodian", service.custodian_iri())

@@ -314,13 +314,12 @@ def write_dua(graph: Graph, record: DuaRecord) -> int:
             continue
         for s, p, o in list(graph.iter_terms(root, None, None)):
             victims.append(Triple(s, p, o))
-    for t in victims:
-        graph.remove(t)
 
-    written = 0
+    # every new triple is built, and its terms checked, before the old ones go
+    fresh: list[Triple] = []
+
     def put(s, p, o):
-        nonlocal written
-        written += graph.insert(Triple(s, p, o))
+        fresh.append(Triple(s, p, o))
 
     put(subject, RDF_TYPE, DUA_CLASS)
     put(subject, HAS_DATA_CUSTODIAN, iri(record.custodian))
@@ -349,7 +348,9 @@ def write_dua(graph: Graph, record: DuaRecord) -> int:
             put(node, DP_ACCESS, plain(record.access))
         if record.protections:
             put(node, DP_PROTECTIONS, plain(record.protections))
-    return written
+    for t in victims:
+        graph.remove(t)
+    return graph.add_all(fresh)
 
 
 def _single_object(graph: Graph, subject: Term, prop: Term, warnings: list[str], what: str) -> str:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter
 from typing import Iterator, Optional
 
 from .store import (
@@ -176,18 +177,49 @@ class QueryAst:
         return list(seen)
 
 
-@dataclass
 class BindingSet:
-    """Solution rows over a fixed variable tuple, deterministically ordered."""
+    """Solution rows over a fixed variable tuple, deterministically ordered.
 
-    variables: tuple[str, ...]
-    rows: list[tuple[Term, ...]]
+    A one-variable set holds its answer as `column`, one flat list of terms,
+    and builds `rows` only when asked; rows given to the constructor are
+    converted. Wider sets keep their row tuples and have no column.
+    """
+
+    __slots__ = ("variables", "column", "_rows")
+
+    def __init__(self, variables, rows=(), column: Optional[list[Term]] = None):
+        self.variables = tuple(variables)
+        if len(self.variables) == 1:
+            self.column = column if column is not None else [t for (t,) in rows]
+            self._rows = None
+        else:
+            self.column = None
+            self._rows = list(rows)
+
+    @property
+    def rows(self) -> list[tuple[Term, ...]]:
+        if self.column is None:
+            return self._rows
+        return list(zip(self.column))
 
     def __len__(self):
-        return len(self.rows)
+        return len(self._rows if self.column is None else self.column)
 
     def as_dicts(self) -> list[dict[str, Term]]:
-        return [dict(zip(self.variables, row)) for row in self.rows]
+        if self.column is None:
+            return [dict(zip(self.variables, row)) for row in self._rows]
+        (name,) = self.variables
+        return [{name: t} for t in self.column]
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, BindingSet)
+            and self.variables == other.variables
+            and self.rows == other.rows
+        )
+
+    def __repr__(self):
+        return f"BindingSet({self.variables!r}, {self.rows!r})"
 
 
 @dataclass
@@ -652,29 +684,52 @@ def eval_select(ast: QueryAst, graph: Graph, plan: Optional[list[_Step]] = None)
         raise EvalError(f"eval_select needs a SELECT query, got {ast.form}")
     names = ast.projection if ast.projection is not None else ast.bgp_variables()
     variables = tuple(names)
-    single = _single_pattern_rows(ast, graph, variables) if not ast.filters else None
+    single = _single_pattern_lookup(ast, variables)
+    if len(variables) == 1:
+        return BindingSet(variables, column=_column(ast, graph, plan, variables[0], single))
     if single is not None:
-        rows = single
-    elif len(variables) == 1:
-        name = variables[0]
-        rows = [(sol[name],) for sol in _solutions(ast, graph, plan)]
+        slots, lookup = single
+        rows = [tuple(terms[s] for s in slots) for terms in graph.iter_terms(*lookup)]
     else:
         rows = [
             tuple(sol[name] for name in variables) for sol in _solutions(ast, graph, plan)
         ]
-    if len(variables) == 1 and all(row[0].kind == IRI for row in rows):
-        # IRIs share kind and datatype, so their lexical form alone gives
-        # the same order as the full sort key, several times faster
-        rows.sort(key=lambda row: row[0].lexical)
-    else:
-        rows.sort(key=lambda row: tuple(term.sort_key() for term in row))
+    rows.sort(key=lambda row: tuple(term.sort_key() for term in row))
     return BindingSet(variables, rows)
 
 
-def _single_pattern_rows(ast: QueryAst, graph: Graph, variables) -> Optional[list]:
-    """Row builder for the common one-pattern query, bypassing the join
-    machinery; returns None when the shape does not apply."""
-    if len(ast.bgp) != 1:
+_LEXICAL = attrgetter("lexical")
+_KIND = attrgetter("kind")
+
+
+def _column(ast: QueryAst, graph: Graph, plan, name: str, single) -> list[Term]:
+    """One variable's values in order, built and sorted by C-level calls so
+    that no Python object is made per row."""
+    if single is None:
+        column = list(map(itemgetter(name), _solutions(ast, graph, plan)))
+    else:
+        (slot,), (s, p, o) = single
+        if slot == 0 and p is not None and o is not None:
+            # subjects are IRIs (Triple enforces it), so the lexical form
+            # alone gives the full sort key's order
+            column = list(graph.subjects_for(p, o))
+            column.sort(key=_LEXICAL)
+            return column
+        column = list(map(itemgetter(slot), graph.iter_terms(s, p, o)))
+    if set(map(_KIND, column)) <= {IRI}:
+        # IRIs share kind and datatype, so their lexical form alone gives
+        # the same order as the full sort key, several times faster
+        column.sort(key=_LEXICAL)
+    else:
+        column.sort(key=Term.sort_key)
+    return column
+
+
+def _single_pattern_lookup(ast: QueryAst, variables) -> Optional[tuple[list[int], list]]:
+    """The slots of `variables` and the index lookup for the common
+    one-pattern query, which bypasses the join machinery; None when the
+    shape does not apply."""
+    if len(ast.bgp) != 1 or ast.filters:
         return None
     pattern = ast.bgp[0]
     names = pattern.variables()
@@ -690,11 +745,7 @@ def _single_pattern_rows(ast: QueryAst, graph: Graph, variables) -> Optional[lis
             lookup.append(node)
     if any(name not in slot_of for name in variables):
         return None
-    slots = [slot_of[name] for name in variables]
-    if len(slots) == 1:
-        slot = slots[0]
-        return [(terms[slot],) for terms in graph.iter_terms(*lookup)]
-    return [tuple(terms[s] for s in slots) for terms in graph.iter_terms(*lookup)]
+    return [slot_of[name] for name in variables], lookup
 
 
 def _instantiate(pattern: TriplePattern, binding: dict) -> Triple:

@@ -6,11 +6,12 @@ import urllib.request
 from urllib.parse import quote
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from trustgate import ontology as vocab
 from trustgate.middleware import ExchangeMiddleware, start_server
 from trustgate.ontology import bootstrap_vocabulary
-from trustgate.store import Graph, SYN_NS, serialize_term
+from trustgate.store import Graph, SYN_NS, iri, serialize_term
 from trustgate.synth import generate_dataset
 
 PUBLIC_HEALTH = vocab.PUBLIC_HEALTH.lexical
@@ -182,6 +183,87 @@ class TestEndpoints:
         assert http("GET", record_url) == before
         assert before[1]["scores"]["behavior"] == "1.0"
 
+    def test_borrowed_label_and_org_are_refused(self, server, demo_manifest):
+        # user 8 of org_08 has no agreement; with user 1's label and org the
+        # label-keyed policies used to grant it user 1's rows
+        own, other = demo_manifest.users[7], demo_manifest.users[0]
+        record_url = server.url + "/trust/" + quote(own.iri, safe="")
+        before = http("GET", record_url)
+        request = {"user": own.iri, "category": PATIENT, "purpose": PUBLIC_HEALTH}
+        for label, org in ((other.label, other.org_iri), (other.label, own.org_iri),
+                           (own.label, other.org_iri)):
+            status, body = http("POST", server.url + "/requests",
+                                {**request, "userLabel": label, "userOrg": org})
+            assert status == 400, (label, org)
+            assert "records" not in body
+        assert http("GET", record_url) == before
+        status, body = http("POST", server.url + "/requests",
+                            {**request, "userLabel": own.label, "userOrg": own.org_iri})
+        assert status == 200
+        assert body["decision"]["granted"] is False
+        assert ["dua-exists", False] in body["decision"]["compliance"]["perPolicy"]
+
+    @pytest.mark.parametrize("bad", [
+        {"user": [SYN_NS + "user_001"]},
+        {"user": {"iri": SYN_NS + "user_001"}},
+        {"custodian": [SYN_NS + "DataCustodian"]},
+        {"custodian": {}},
+        {"userOrg": [SYN_NS + "org_01"]},
+        {"userOrg": {}},
+        {"userLabel": 5},
+        {"userLabel": ["x"]},
+        {"requestId": ["r"]},
+        {"timestamp": "noon"},
+    ])
+    def test_wrongly_typed_request_field_is_bad_request(self, server, demo_manifest, bad):
+        status, body = http("POST", server.url + "/requests", {
+            "user": demo_manifest.users[0].iri, "category": PATIENT,
+            "purpose": PUBLIC_HEALTH, **bad,
+        })
+        assert status == 400
+        assert body["error"]
+
+    @pytest.mark.parametrize("bad", [
+        {"requestedData": 5},
+        {"requestedData": None},
+        {"requestedData": True},
+        {"requestedData": PATIENT},  # would be split into characters
+        {"requestedData": [PATIENT, 7]},
+        {"permittedUseOrDisclosure": 5},
+        {"permittedUseOrDisclosure": None},
+        {"permittedUseOrDisclosure": True},
+        {"custodian": [SYN_NS + "DataCustodian"]},
+        {"custodian": {}},
+        {"recipient": [SYN_NS + "org_01"]},
+        {"recipient": {}},
+        {"iri": 3},
+        {"term": ["x"]},
+    ])
+    def test_wrongly_typed_agreement_field_is_bad_request(self, server, demo_manifest, bad):
+        org = demo_manifest.orgs[0]
+        server.service.registry.lock_pair(demo_manifest.custodian_iri, org.iri)
+        status, body = http("POST", server.url + "/admin/dua", {
+            "iri": org.dua_iri, "custodian": demo_manifest.custodian_iri,
+            "recipient": org.iri, "requestedData": [PATIENT],
+            "permittedUseOrDisclosure": [PUBLIC_HEALTH], **bad,
+        })
+        assert status == 400
+        assert body["error"]
+        assert server.service.registry.check_lockout(demo_manifest.custodian_iri, org.iri)
+
+    def test_bad_purpose_iri_leaves_the_agreement_whole(self, server, demo_manifest):
+        org = demo_manifest.orgs[0]
+        graph = server.service.graph
+        before = sorted(map(repr, graph.iter_terms(iri(org.dua_iri), None, None)))
+        server.service.registry.lock_pair(demo_manifest.custodian_iri, org.iri)
+        status, _ = http("POST", server.url + "/admin/dua", {
+            "iri": org.dua_iri, "custodian": demo_manifest.custodian_iri,
+            "recipient": org.iri, "requestedData": [PATIENT],
+            "permittedUseOrDisclosure": [PUBLIC_HEALTH, "not an iri"],
+        })
+        assert status == 400
+        assert sorted(map(repr, graph.iter_terms(iri(org.dua_iri), None, None))) == before
+
     def test_negative_content_length_is_bad_request(self, server):
         # read(-1) would block until the client closed the socket
         host, port = server.server_address[:2]
@@ -248,3 +330,75 @@ class TestPropagationOverHttp:
         node_a = self.build_node(demo_spec, "node-a", peers=["http://127.0.0.1:9"])
         results = node_a.propagate_scores(max_attempts=1)
         assert results == {"http://127.0.0.1:9": {"ok": True, "delivered": 0}}
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_MISSING = object()
+
+
+def _fields(valid: dict) -> st.SearchStrategy:
+    """Bodies whose every field is left out, given a value that could pass,
+    or given an arbitrary JSON value."""
+    return st.fixed_dictionaries({
+        name: st.one_of(st.just(_MISSING), st.sampled_from(choices), _JSON)
+        for name, choices in valid.items()
+    }).map(lambda body: {k: v for k, v in body.items() if v is not _MISSING})
+
+
+class TestArbitraryFields:
+    """Whatever JSON value a field of /requests or /admin/dua holds, the
+    reply is never a server error."""
+
+    @pytest.fixture()
+    def node(self, demo_graph, demo_manifest):
+        service = ExchangeMiddleware(demo_graph, node_id="node-fuzz")
+        server = start_server(service)
+        yield server, demo_manifest
+        server.shutdown()
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_requests_never_get_a_server_error(self, node, data):
+        server, manifest = node
+        users = [manifest.users[0], manifest.users[7]]
+        body = data.draw(_fields({
+            "user": [u.iri for u in users] + [manifest.orgs[0].iri, manifest.custodian_iri],
+            "userLabel": [u.label for u in users],
+            "userOrg": [u.org_iri for u in users],
+            "custodian": [manifest.custodian_iri, manifest.orgs[0].iri, users[0].iri],
+            "category": [PATIENT, SYMPTOM],
+            "purpose": [PUBLIC_HEALTH, IRB],
+            "requestId": ["r-1"],
+            "timestamp": [1.5],
+        }))
+        status, reply = http("POST", server.url + "/requests", body)
+        assert status < 500, (body, reply)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_agreement_rewrites_never_get_a_server_error(self, node, data):
+        server, manifest = node
+        org = manifest.orgs[0]
+        # the pair is locked, so a well-formed rewrite gets past the lock check
+        server.service.registry.lock_pair(manifest.custodian_iri, org.iri)
+        body = data.draw(_fields({
+            "iri": [org.dua_iri],
+            "custodian": [manifest.custodian_iri],
+            "recipient": [org.iri],
+            "requestedData": [[PATIENT], [PATIENT, SYMPTOM], []],
+            "permittedUseOrDisclosure": [[PUBLIC_HEALTH], [IRB, "not an iri"]],
+            "term": ["one year"],
+            "terminationEffect": ["delete"],
+            "terminationCause": ["breach"],
+            "storage": ["encrypted"],
+            "access": ["role based"],
+            "protections": ["audit"],
+        }))
+        status, reply = http("POST", server.url + "/admin/dua", body)
+        assert status < 500, (body, reply)

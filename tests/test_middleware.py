@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 import threading
@@ -14,6 +15,7 @@ from trustgate.middleware import (
     STAGE_TRUST_UPDATE,
     DataResponse,
     ExchangeMiddleware,
+    RequestValidationError,
     ScoreUpdate,
     configs_from_mapping,
     parse_config_text,
@@ -135,6 +137,33 @@ class TestExchangeCycle:
         with pytest.raises(UnknownPrincipalError):
             service.handle_request(request)
 
+    def test_borrowed_label_or_affiliation_is_refused(self, service, demo_manifest):
+        # the policies find the user by label: user 8 (org_08, no agreement)
+        # sending user 1's label and org was checked, and granted, as user 1
+        from trustgate.policy import DataRequest
+
+        own = service.registry.get(user(demo_manifest, 7)).principal
+        other = service.registry.get(user(demo_manifest, 0)).principal
+        for label, org in (
+            (other.label, other.affiliation),
+            (other.label, own.affiliation),
+            (own.label, other.affiliation),
+            ("", own.affiliation),
+        ):
+            request = DataRequest(
+                user=replace(own, label=label, affiliation=org),
+                custodian=demo_manifest.custodian_iri,
+                category=PATIENT, purpose=PUBLIC_HEALTH,
+            )
+            with pytest.raises(RequestValidationError):
+                service.handle_request(request)
+        assert service.registry.get(own.iri).behavior == Decimal("1.0")
+        honest = service.handle_request(
+            service.build_request(own.iri, PATIENT, PUBLIC_HEALTH)
+        )
+        assert honest.decision.granted is False
+        assert honest.decision.compliance.outcome("dua-exists") is False
+
     def test_score_projection_refreshed_in_graph(self, service, demo_manifest):
         from trustgate.store import TriplePattern, Var, iri
 
@@ -155,6 +184,30 @@ class TestRetrieve:
 
     def test_empty_category(self, service):
         assert len(service.retrieve(SYMPTOM)) == 0
+
+    def test_retrieving_and_serializing_allocates_nothing_per_row(self):
+        # a one-term tuple per row kept the collector busy on every reply
+        graph = Graph()
+        spec = GeneratorSpec(seed=21, patient_count=5000)
+        generate_dataset(spec, into=graph)
+        service = ExchangeMiddleware(graph)
+        request = service.build_request(
+            demographics_manifest(spec).users[0].iri, PATIENT, PUBLIC_HEALTH
+        )
+        response = service.handle_request(request)
+        response.to_json()
+        gc.disable()
+        try:
+            for category in (PATIENT, OBSERVATION):  # memoized texts, then fresh ones
+                before = gc.get_count()[0]
+                records = service.retrieve(category)
+                body = replace(response, records=records).to_json()
+                grown = gc.get_count()[0] - before
+                assert len(records) == 5000
+                assert grown < 100, (category, grown)
+                del records, body
+        finally:
+            gc.enable()
 
     def test_thousand_patient_scale(self):
         graph = Graph()

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from dataclasses import replace
 
@@ -18,9 +19,12 @@ from trustgate.store import (
     Var,
     iri,
     plain,
+    serialize_term,
     typed,
 )
+from trustgate.middleware import AccessDecision, DataResponse
 from trustgate.query import (
+    BindingSet,
     ParseError,
     UnsupportedFeatureError,
     eval_ask,
@@ -434,3 +438,82 @@ class TestSelectOrder:
         ])
         rows = eval_select(parse("SELECT ?o WHERE { ?s <p:a> ?o . }"), g).rows
         assert [row[0].kind for row in rows] == ["iri", "plain-literal", "typed-literal"]
+
+
+def reference_solutions(patterns, filters, graph):
+    """Every solution, by a nested loop over the graph's triples."""
+    triples = list(graph)
+
+    def extend(binding, rest):
+        if not rest:
+            if all(f.matches(binding[f.variable]) for f in filters):
+                yield binding
+            return
+        for t in triples:
+            grown = dict(binding)
+            for node, term in zip(rest[0].positions(), (t.subject, t.predicate, t.object)):
+                bound = grown.setdefault(node.name, term) if isinstance(node, Var) else node
+                if bound != term:
+                    break
+            else:
+                yield from extend(grown, rest[1:])
+
+    return list(extend({}, patterns))
+
+
+class TestOneVariableColumn:
+    """A one-variable result is one flat column of terms; everything read
+    from it must equal what one-term row tuples sorted by the full key give."""
+
+    QUERIES = (
+        "SELECT ?s WHERE { ?s <p:a> <a:b> . }",  # subjects of a ground (p, o)
+        'SELECT ?s WHERE { ?s <p:b> "a:b" . }',
+        'SELECT * WHERE { ?s <p:a> "a:b"^^<dt:one> . }',
+        "SELECT ?o WHERE { ?s <p:a> ?o . }",  # IRIs, plain and typed literals
+        "SELECT ?o WHERE { <a:b> ?p ?o . }",
+        "SELECT ?s WHERE { ?s ?p ?o . }",
+        "SELECT ?p WHERE { ?s ?p <a:b2> . }",
+        "SELECT ?x WHERE { ?x <p:a> ?x . }",  # repeated variable: join path
+        "SELECT ?o WHERE { ?s <p:a> ?x . ?s <p:b> ?o . }",
+        'SELECT ?o WHERE { ?s ?p ?o . FILTER(STR(?o) IN ("a:b", "a:B")) }',
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(_IRIS, _PREDICATES, _OBJECTS), max_size=40))
+    def test_column_reads_like_sorted_row_tuples(self, triples):
+        g = Graph()
+        g.add_all(Triple(s, p, o) for s, p, o in triples)
+        decision = AccessDecision(True, None, None, (), False)
+        for text in self.QUERIES:
+            ast = parse(text)
+            got = eval_select(ast, g)
+            (name,) = got.variables
+            expected = sorted(
+                ((b[name],) for b in reference_solutions(ast.bgp, ast.filters, g)), key=full_key
+            )
+            assert got.column is not None, text
+            assert got.rows == expected, text
+            assert len(got) == len(expected), text
+            assert got.as_dicts() == [{name: t} for (t,) in expected], text
+            response = DataResponse("r-1", decision, got, (), {"dataRetrieval": 0.5})
+            assert response.to_json() == json.dumps({
+                "requestId": "r-1",
+                "decision": decision.to_dict(),
+                "records": {
+                    "variables": [name],
+                    "rows": [[serialize_term(t)] for (t,) in expected],
+                },
+                "custodianNotices": [],
+                "timings": {"dataRetrieval": 0.5},
+            }), text
+
+    def test_rows_given_to_the_constructor_become_the_column(self):
+        terms = [iri("a:b"), plain("a:b"), typed("a:b", "dt:one")]
+        one = BindingSet(("x",), [(t,) for t in terms])
+        assert one.column == terms
+        assert one.rows == [(t,) for t in terms]
+        assert one == BindingSet(("x",), column=list(terms))
+        two = BindingSet(("s", "o"), [(terms[0], terms[1])])
+        assert two.column is None
+        assert two.rows == [(terms[0], terms[1])]
+        assert two.as_dicts() == [{"s": terms[0], "o": terms[1]}]
