@@ -15,6 +15,7 @@ import io
 import json
 import logging
 import random
+import resource
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
@@ -68,6 +69,9 @@ class LatencyReport:
     transaction_count: int
     seed: int
     stats: dict[int, dict[str, dict[str, float]]]
+    # the process's peak RSS after each size's run: a high-water mark, so it
+    # never falls from one size to the next
+    peak_rss_mb: dict[int, float]
 
     def stage_means(self, stage: str) -> list[float]:
         return [self.stats[size][stage]["mean"] for size in self.sizes]
@@ -142,6 +146,7 @@ def run_latency(
     """
     sizes = tuple(sizes)
     stats: dict[int, dict[str, dict[str, float]]] = {}
+    peak_rss_mb: dict[int, float] = {}
     for size in sizes:
         spec = GeneratorSpec(seed=seed, patient_count=size)
         if datasets is not None and size in datasets:
@@ -175,8 +180,11 @@ def run_latency(
             if gc_was_enabled:
                 gc.enable()
         stats[size] = _aggregate(samples)
+        # ru_maxrss is in KiB on Linux
+        peak_rss_mb[size] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return LatencyReport(
-        sizes=sizes, transaction_count=transactions, seed=seed, stats=stats
+        sizes=sizes, transaction_count=transactions, seed=seed, stats=stats,
+        peak_rss_mb=peak_rss_mb,
     )
 
 
@@ -315,6 +323,7 @@ def latency_report_rows(report: LatencyReport) -> list[list]:
                 [label, metric]
                 + [f"{report.stats[size][stage][metric]:.6f}" for size in report.sizes]
             )
+    rows.append(["peak RSS", "MB"] + [f"{report.peak_rss_mb[size]:.1f}" for size in report.sizes])
     rows.append(["transactions", "count"] + [str(report.transaction_count)] * len(report.sizes))
     return rows
 
@@ -333,6 +342,7 @@ def latency_report_json(report: LatencyReport) -> dict:
             }
             for size in report.sizes
         },
+        "peakRssMb": {str(size): f"{report.peak_rss_mb[size]:.1f}" for size in report.sizes},
     }
 
 

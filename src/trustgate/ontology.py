@@ -298,11 +298,14 @@ def _str_of(term: Term) -> str:
 def write_dua(graph: Graph, record: DuaRecord) -> int:
     """Replace all triples rooted at the record's IRI with the record's view.
 
-    The record is validated first; an invalid record leaves the graph
-    untouched. Returns the number of triples written.
+    The record is validated first, and an IRI already typed as anything but
+    an agreement is refused; either failure leaves the graph untouched.
+    Returns the number of triples written.
     """
     record.validate()
     subject = iri(record.iri)
+    if any(t != DUA_CLASS for t in graph.objects_for(subject, RDF_TYPE)):
+        raise OntologyError(f"{record.iri} is not an agreement")
     old_children = [
         obj
         for prop in (HAS_TERM_AND_TERMINATION, HAS_DATA_SECURITY_PLAN)

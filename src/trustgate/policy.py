@@ -14,6 +14,7 @@ import re
 import time
 import uuid
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Optional
 
@@ -259,7 +260,7 @@ def completeness_probe(graph: Graph, category: Term, sample_size: int = 25) -> b
     groups = vocab.CATEGORY_PROPERTY_GROUPS.get(category, ())
     if not groups:
         return True
-    instances = graph.first_subjects(vocab.RDF_TYPE, category, sample_size)
+    instances = list(islice(graph.subjects_for(vocab.RDF_TYPE, category), sample_size))
     if not instances:
         return False
     for prop in groups:

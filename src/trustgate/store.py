@@ -1,10 +1,13 @@
-"""In-memory triple store with set semantics, three pattern-matching indexes,
+"""In-memory triple store with set semantics, two pattern-matching indexes,
 and a line-oriented bulk format.
 
-Terms are immutable once constructed; graphs keep subject-, predicate-, and
-object-keyed indexes so any single-pattern lookup is a couple of dict hops.
-All index containers are insertion-ordered dicts, which makes capped,
-unsorted iteration deterministic for a given build sequence.
+Terms are immutable once constructed; graphs keep subject- and
+predicate-keyed indexes, so a pattern with a bound predicate is a couple of
+dict hops. Patterns with an unbound predicate scan SPO: `(s, ?, o)` the
+subject's entry, `(?, ?, o)` the whole graph; no shipped query binds the
+object without the predicate. All index containers are insertion-ordered
+dicts, which makes capped, unsorted iteration deterministic for a given
+build sequence.
 """
 
 from __future__ import annotations
@@ -233,9 +236,9 @@ class TriplePattern:
 
 
 class Graph:
-    """Set of triples with SPO/POS/OSP-style indexes and a prefix table.
+    """Set of triples with SPO and POS indexes and a prefix table.
 
-    The three indexes are the only storage: no `Triple` object is kept, and
+    The two indexes are the only storage: no `Triple` object is kept, and
     iteration builds them from the SPO index. Passive with respect to
     locking: callers enforce the many-readers / one-writer contract.
     """
@@ -244,7 +247,6 @@ class Graph:
         self._size = 0
         self._spo: dict[Term, dict[Term, dict[Term, None]]] = {}
         self._pos: dict[Term, dict[Term, dict[Term, None]]] = {}
-        self._osp: dict[Term, dict[Term, dict[Term, None]]] = {}
         self.namespaces = dict(DEFAULT_NAMESPACES)
         if namespaces:
             self.namespaces.update(namespaces)
@@ -273,7 +275,6 @@ class Graph:
         if not _link(self._spo, s, p, o):
             return False
         _link(self._pos, p, o, s)
-        _link(self._osp, o, s, p)
         self._size += 1
         self.version += 1
         self._pred_versions[p] = self._pred_versions.get(p, 0) + 1
@@ -286,7 +287,6 @@ class Graph:
         s, p, o = t.subject, t.predicate, t.object
         _unlink(self._spo, s, p, o)
         _unlink(self._pos, p, o, s)
-        _unlink(self._osp, o, s, p)
         self._size -= 1
         self.version += 1
         self._pred_versions[p] = self._pred_versions.get(p, 0) + 1
@@ -320,21 +320,6 @@ class Graph:
             return ()
         return inner.get(o, ())
 
-    def predicates_for(self, s: Term, o: Term):
-        inner = self._osp.get(o)
-        if inner is None:
-            return ()
-        return inner.get(s, ())
-
-    def first_subjects(self, p: Term, o: Term, limit: int) -> list[Term]:
-        """First `limit` subjects matching (?, p, o) in insertion order."""
-        out = []
-        for s in self.subjects_for(p, o):
-            out.append(s)
-            if len(out) >= limit:
-                break
-        return out
-
     def predicate_version(self, p: Term) -> int:
         """Mutation counter for one predicate; a query whose patterns all
         carry ground predicates has the same solutions while the versions of
@@ -350,14 +335,10 @@ class Graph:
             return len(self.objects_for(s, p))
         if p is not None and o is not None:
             return len(self.subjects_for(p, o))
-        if s is not None and o is not None:
-            return len(self.predicates_for(s, o))
         if s is not None:
             return len(self._spo.get(s, ()))
         if p is not None:
             return len(self._pos.get(p, ()))
-        if o is not None:
-            return len(self._osp.get(o, ()))
         return self._size
 
     def iter_terms(self, s: Optional[Term], p: Optional[Term], o: Optional[Term]):
@@ -370,24 +351,13 @@ class Graph:
             return
         if p is not None and p.kind != IRI:
             return
-        if s is not None:
-            if p is not None:
-                if o is not None:
-                    if self.contains_spo(s, p, o):
-                        yield (s, p, o)
-                else:
-                    for obj in self.objects_for(s, p):
-                        yield (s, p, obj)
+        if s is not None and p is not None:
+            if o is not None:
+                if self.contains_spo(s, p, o):
+                    yield (s, p, o)
             else:
-                inner = self._spo.get(s)
-                if inner:
-                    if o is not None:
-                        for pred in self.predicates_for(s, o):
-                            yield (s, pred, o)
-                    else:
-                        for pred, objs in inner.items():
-                            for obj in objs:
-                                yield (s, pred, obj)
+                for obj in self.objects_for(s, p):
+                    yield (s, p, obj)
         elif p is not None:
             inner = self._pos.get(p)
             if inner:
@@ -398,17 +368,15 @@ class Graph:
                     for obj, subjs in inner.items():
                         for subj in subjs:
                             yield (subj, p, obj)
-        elif o is not None:
-            inner = self._osp.get(o)
-            if inner:
-                for subj, preds in inner.items():
-                    for pred in preds:
-                        yield (subj, pred, o)
         else:
-            for subj, preds in self._spo.items():
+            subjects = self._spo.items() if s is None else ((s, self._spo.get(s, {})),)
+            for subj, preds in subjects:
                 for pred, objs in preds.items():
-                    for obj in objs:
-                        yield (subj, pred, obj)
+                    if o is None:
+                        for obj in objs:
+                            yield (subj, pred, obj)
+                    elif o in objs:
+                        yield (subj, pred, o)
 
     def match(self, pattern: TriplePattern) -> list[Triple]:
         """Triples unifying with the pattern, in canonical sorted order.

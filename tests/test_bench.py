@@ -166,6 +166,8 @@ class TestReports:
             "Trust score update",
             "Data retrieval",
         ]
+        assert rows[-2][:2] == ["peak RSS", "MB"]
+        assert all(float(value) > 0 for value in rows[-2][2:])
         assert rows[-1][:2] == ["transactions", "count"]
 
     def test_latency_formats_carry_identical_numbers(self, tmp_path):
@@ -174,10 +176,11 @@ class TestReports:
         json_path = emit_report(report, "json", tmp_path / "latency.json")
         payload = json.loads(json_path.read_text())
         rows = list(csv.reader(csv_path.read_text().splitlines()))
-        for row in rows[1:-1]:
+        for row in rows[1:-2]:
             stage_label, metric, *values = row
             for size, value in zip(report.sizes, values):
                 assert payload["stats"][str(size)][stage_label][metric] == value
+        assert rows[-2][2:] == [payload["peakRssMb"][str(size)] for size in report.sizes]
 
     def test_trajectory_csv_and_json_match(self, tmp_path):
         report = run_trajectory(violation_prob=0.5, runs=2, seed=4,

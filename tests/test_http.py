@@ -13,6 +13,7 @@ from trustgate.middleware import ExchangeMiddleware, start_server
 from trustgate.ontology import bootstrap_vocabulary
 from trustgate.store import Graph, SYN_NS, iri, serialize_term
 from trustgate.synth import generate_dataset
+from trustgate.trust import BEHAVIOR, CREDIBILITY_SCORE, IDENTITY
 
 PUBLIC_HEALTH = vocab.PUBLIC_HEALTH.lexical
 IRB = vocab.IRB_APPROVED_RESEARCH.lexical
@@ -264,6 +265,27 @@ class TestEndpoints:
         assert status == 400
         assert sorted(map(repr, graph.iter_terms(iri(org.dua_iri), None, None))) == before
 
+    def test_rewrite_aimed_at_the_custodian_is_refused(self, server, demo_manifest):
+        # the rewrite used to delete every triple of the named IRI, here the
+        # custodian's data inventory, and each later request answered 500
+        org = demo_manifest.orgs[0]
+        graph = server.service.graph
+        custodian = iri(demo_manifest.custodian_iri)
+        before = sorted(map(repr, graph.iter_terms(custodian, None, None)))
+        server.service.registry.lock_pair(demo_manifest.custodian_iri, org.iri)
+        status, body = http("POST", server.url + "/admin/dua", {
+            "iri": demo_manifest.custodian_iri, "custodian": demo_manifest.custodian_iri,
+            "recipient": org.iri, "requestedData": [PATIENT],
+            "permittedUseOrDisclosure": [PUBLIC_HEALTH],
+        })
+        assert 400 <= status < 500
+        assert body["error"]
+        assert sorted(map(repr, graph.iter_terms(custodian, None, None))) == before
+        status, _ = http("POST", server.url + "/requests", {
+            "user": demo_manifest.users[0].iri, "category": PATIENT, "purpose": PUBLIC_HEALTH,
+        })
+        assert status == 200
+
     def test_negative_content_length_is_bad_request(self, server):
         # read(-1) would block until the client closed the socket
         host, port = server.server_address[:2]
@@ -402,3 +424,78 @@ class TestArbitraryFields:
         }))
         status, reply = http("POST", server.url + "/admin/dua", body)
         assert status < 500, (body, reply)
+
+
+_BAD_UPDATE_FIELDS = st.sampled_from([
+    {"value": "abc"}, {"value": "7"}, {"value": "-0.5"}, {"value": None}, {"value": [0.5]},
+    {"version": "x"}, {"version": 9.5}, {"version": True}, {"version": None},
+    {"score": "karma"}, {"score": 3},
+    {"principal": ""}, {"principal": "has space"}, {"principal": 5},
+])
+_REQUIRED_UPDATE_KEYS = st.sampled_from(["principal", "score", "value", "version"])
+
+
+class TestScoreBatches:
+    """Batches of propagated score updates: one bad update refuses the whole
+    batch, and a good batch applies exactly the updates that are newer."""
+
+    @pytest.fixture()
+    def node(self, demo_graph, demo_manifest):
+        service = ExchangeMiddleware(demo_graph, node_id="node-scores")
+        server = start_server(service)
+        yield server, demo_manifest
+        server.shutdown()
+
+    @staticmethod
+    def _updates(manifest):
+        principals = [manifest.users[0].iri, manifest.users[1].iri,
+                      manifest.orgs[0].iri, SYN_NS + "peer_only_principal"]
+        return st.fixed_dictionaries({
+            "principal": st.sampled_from(principals),
+            "score": st.sampled_from([BEHAVIOR, IDENTITY, CREDIBILITY_SCORE]),
+            "value": st.decimals(min_value=0, max_value=1, places=4).map(str),
+            "version": st.integers(min_value=-2, max_value=40),
+            "origin": st.just("node-x"),
+        })
+
+    @staticmethod
+    def _score_triples(graph):
+        return sorted(
+            repr(t) for p in (vocab.BEHAVIOR_TRUST, vocab.IDENTITY_TRUST, vocab.CREDIBILITY)
+            for t in graph.iter_terms(None, p, None)
+        )
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_a_malformed_update_refuses_the_batch_and_changes_nothing(self, node, data):
+        server, manifest = node
+        service = server.service
+        batch = data.draw(st.lists(self._updates(manifest), max_size=5))
+        bad = dict(data.draw(self._updates(manifest)))
+        if data.draw(st.booleans()):
+            del bad[data.draw(_REQUIRED_UPDATE_KEYS)]
+        else:
+            bad.update(data.draw(_BAD_UPDATE_FIELDS))
+        batch.insert(data.draw(st.integers(0, len(batch))), bad)
+        snapshot, triples = service.registry.snapshot(), self._score_triples(service.graph)
+        status, body = http("POST", server.url + "/peers/scores", {"updates": batch})
+        assert status == 400, (batch, body)
+        assert body["error"]
+        assert service.registry.snapshot() == snapshot
+        assert self._score_triples(service.graph) == triples
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_applied_counts_the_updates_newer_than_the_held_version(self, node, data):
+        server, manifest = node
+        batch = data.draw(st.lists(self._updates(manifest), max_size=8))
+        held = {p: record["version"] for p, record in server.service.registry.snapshot().items()}
+        newer = 0
+        for update in batch:
+            if update["version"] > held.get(update["principal"], 0):
+                held[update["principal"]] = update["version"]
+                newer += 1
+        status, body = http("POST", server.url + "/peers/scores", {"updates": batch})
+        assert (status, body) == (200, {"applied": newer}), batch

@@ -229,8 +229,8 @@ class TestMatchProperties:
         assert g.match(pattern) == brute_force_match(set(triples), pattern)
 
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.tuples(st.booleans(), _triples), max_size=60))
-    def test_size_tracks_distinct_inserts_minus_removes(self, ops):
+    @given(st.lists(st.tuples(st.booleans(), _triples), max_size=60), _patterns())
+    def test_size_tracks_distinct_inserts_minus_removes(self, ops, pattern):
         g = Graph()
         shadow = set()
         for is_insert, trip in ops:
@@ -243,6 +243,9 @@ class TestMatchProperties:
             assert len(g) == len(shadow)
         universal = TriplePattern(Var("s"), Var("p"), Var("o"))
         assert set(g.match(universal)) == shadow
+        # every pattern shape, the scanned (s, ?, o) and (?, ?, o) included,
+        # still answers exactly after removals
+        assert g.match(pattern) == brute_force_match(shadow, pattern)
         # iteration rebuilds triples from the indexes: each one exactly once
         listed = list(g)
         assert len(listed) == len(shadow) and set(listed) == shadow
@@ -339,7 +342,7 @@ class TestLineFormat:
         # one object per distinct (kind, lexical, datatype): the IRI s:b
         # and the plain literal "s:b" stay apart
         assert len(seen) == 8
-        for index in (g2._spo, g2._pos, g2._osp):
+        for index in (g2._spo, g2._pos):
             for first, seconds in index.items():
                 assert seen[first] is first
                 for second, thirds in seconds.items():
@@ -399,12 +402,11 @@ class TestIdentityEquality:
 
 
 def index_triples(graph):
-    """Walk each of the three indexes and rebuild the triple set."""
+    """Walk each of the two indexes and rebuild the triple set."""
     out = {}
     for label, index, arrange in (
         ("spo", graph._spo, lambda a, b, c: (a, b, c)),
         ("pos", graph._pos, lambda a, b, c: (c, a, b)),
-        ("osp", graph._osp, lambda a, b, c: (b, c, a)),
     ):
         triples = set()
         for first, seconds in index.items():
