@@ -148,6 +148,11 @@ def run_latency(
     stats: dict[int, dict[str, dict[str, float]]] = {}
     peak_rss_mb: dict[int, float] = {}
     for size in sizes:
+        # the previous size's service and last reply go, with the reference
+        # cycles that still hold its graph, before this size's graph is
+        # built, so this size's peak RSS does not include them
+        service = response = None
+        gc.collect()
         spec = GeneratorSpec(seed=seed, patient_count=size)
         if datasets is not None and size in datasets:
             graph = datasets[size]

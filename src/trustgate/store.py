@@ -5,8 +5,10 @@ Terms are immutable once constructed; graphs keep subject- and
 predicate-keyed indexes, so a pattern with a bound predicate is a couple of
 dict hops. Patterns with an unbound predicate scan SPO: `(s, ?, o)` the
 subject's entry, `(?, ?, o)` the whole graph; no shipped query binds the
-object without the predicate. All index containers are insertion-ordered
-dicts, which makes capped, unsorted iteration deterministic for a given
+object without the predicate. An index leaf with one member is that bare
+term; it becomes an insertion-ordered dict when a second member arrives and
+a bare term again when it is down to one, so both forms iterate in
+insertion order and capped, unsorted iteration is deterministic for a given
 build sequence.
 """
 
@@ -239,14 +241,18 @@ class Graph:
     """Set of triples with SPO and POS indexes and a prefix table.
 
     The two indexes are the only storage: no `Triple` object is kept, and
-    iteration builds them from the SPO index. Passive with respect to
-    locking: callers enforce the many-readers / one-writer contract.
+    iteration builds them from the SPO index. `_spo[s][p]` holds the objects
+    and `_pos[p][o]` the subjects: a bare `Term` while there is one, a dict
+    (members as keys) from two on, since almost every subject has one value
+    per predicate and a one-entry dict costs about 220 bytes. Passive with
+    respect to locking: callers enforce the many-readers / one-writer
+    contract.
     """
 
     def __init__(self, namespaces: Optional[dict] = None):
         self._size = 0
-        self._spo: dict[Term, dict[Term, dict[Term, None]]] = {}
-        self._pos: dict[Term, dict[Term, dict[Term, None]]] = {}
+        self._spo: dict[Term, dict[Term, Term | dict[Term, None]]] = {}
+        self._pos: dict[Term, dict[Term, Term | dict[Term, None]]] = {}
         self.namespaces = dict(DEFAULT_NAMESPACES)
         if namespaces:
             self.namespaces.update(namespaces)
@@ -305,20 +311,28 @@ class Graph:
         inner = self._spo.get(s)
         if inner is None:
             return False
-        objs = inner.get(p)
-        return objs is not None and o in objs
+        leaf = inner.get(p)
+        if leaf is None:
+            return False
+        if type(leaf) is dict:
+            return o in leaf
+        return leaf is o or leaf == o
 
     def objects_for(self, s: Term, p: Term):
+        """The objects of `(s, p)`: a one-term tuple, or the live index dict."""
         inner = self._spo.get(s)
         if inner is None:
             return ()
-        return inner.get(p, ())
+        leaf = inner.get(p)
+        return () if leaf is None else _members(leaf)
 
     def subjects_for(self, p: Term, o: Term):
+        """The subjects of `(p, o)`: a one-term tuple, or the live index dict."""
         inner = self._pos.get(p)
         if inner is None:
             return ()
-        return inner.get(o, ())
+        leaf = inner.get(o)
+        return () if leaf is None else _members(leaf)
 
     def predicate_version(self, p: Term) -> int:
         """Mutation counter for one predicate; a query whose patterns all
@@ -366,16 +380,16 @@ class Graph:
                         yield (subj, p, o)
                 else:
                     for obj, subjs in inner.items():
-                        for subj in subjs:
+                        for subj in _members(subjs):
                             yield (subj, p, obj)
         else:
             subjects = self._spo.items() if s is None else ((s, self._spo.get(s, {})),)
             for subj, preds in subjects:
                 for pred, objs in preds.items():
                     if o is None:
-                        for obj in objs:
+                        for obj in _members(objs):
                             yield (subj, pred, obj)
-                    elif o in objs:
+                    elif o in _members(objs):
                         yield (subj, pred, o)
 
     def match(self, pattern: TriplePattern) -> list[Triple]:
@@ -417,30 +431,45 @@ class Graph:
         return f"{best[0]}:{best[2]}"
 
 
+def _members(leaf):
+    """An index leaf's members: the dict itself, or a bare term as a 1-tuple."""
+    return leaf if type(leaf) is dict else (leaf,)
+
+
 def _link(index: dict, a: Term, b: Term, c: Term) -> bool:
     """Add c under index[a][b]; False if it was already there."""
     second = index.get(a)
     if second is None:
-        index[a] = {b: {c: None}}
+        index[a] = {b: c}
         return True
-    third = second.get(b)
-    if third is None:
-        second[b] = {c: None}
+    leaf = second.get(b)
+    if leaf is None:
+        second[b] = c
         return True
-    if c in third:
+    if type(leaf) is dict:
+        if c in leaf:
+            return False
+        leaf[c] = None
+        return True
+    if leaf is c or leaf == c:
         return False
-    third[c] = None
+    second[b] = {leaf: None, c: None}
     return True
 
 
 def _unlink(index: dict, a: Term, b: Term, c: Term) -> None:
+    """Remove c, which must be present, from index[a][b]."""
     second = index[a]
-    third = second[b]
-    del third[c]
-    if not third:
-        del second[b]
-        if not second:
-            del index[a]
+    leaf = second[b]
+    if type(leaf) is dict:
+        del leaf[c]
+        # a dict leaf holds two members or more, so one is left at least
+        if len(leaf) == 1:
+            second[b] = next(iter(leaf))
+        return
+    del second[b]
+    if not second:
+        del index[a]
 
 
 def _repeated_positions(nodes) -> list[tuple[int, int]]:

@@ -15,8 +15,12 @@ from typing import Optional
 from .ontology import (
     BEHAVIOR_TRUST,
     CREDIBILITY,
+    DUA_CLASS,
+    HAS_DATA_CUSTODIAN,
+    HAS_RECIPIENT,
     IDENTITY_TRUST,
     ORGANIZATION,
+    RDF_TYPE,
     USER,
     DuaRecord,
     PrincipalRef,
@@ -340,7 +344,8 @@ class TrustRegistry:
 
         The scores that triggered the lock are reset to one and the lock
         marks removed. The pair must currently be locked and the agreement
-        must bind exactly this pair.
+        must bind exactly this pair; an agreement already at its IRI must
+        bind this pair too, so one pair's rewrite cannot take over another's.
         """
         with self._lock:
             if not self.check_lockout(custodian_iri, recipient_org_iri):
@@ -355,6 +360,16 @@ class TrustRegistry:
             target = graph if graph is not None else self._graph
             if target is None:
                 raise TrustError("no graph available to persist the agreement")
+            subject = iri(new_dua.iri)
+            if target.contains_spo(subject, RDF_TYPE, DUA_CLASS):
+                custodians = set(target.objects_for(subject, HAS_DATA_CUSTODIAN))
+                recipients = set(target.objects_for(subject, HAS_RECIPIENT))
+                if (custodians, recipients) != ({iri(custodian_iri)}, {iri(recipient_org_iri)}):
+                    raise DuaMismatchError(
+                        f"{new_dua.iri} is not the agreement of the locked pair: "
+                        f"it binds {sorted(t.lexical for t in custodians)} -> "
+                        f"{sorted(t.lexical for t in recipients)}"
+                    )
             write_dua(target, new_dua)
             custodian = self.get(custodian_iri)
             if custodian.credibility is not None and custodian.credibility <= ZERO:

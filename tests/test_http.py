@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from trustgate import ontology as vocab
 from trustgate.middleware import ExchangeMiddleware, start_server
-from trustgate.ontology import bootstrap_vocabulary
+from trustgate.ontology import bootstrap_vocabulary, read_dua
 from trustgate.store import Graph, SYN_NS, iri, serialize_term
 from trustgate.synth import generate_dataset
 from trustgate.trust import BEHAVIOR, CREDIBILITY_SCORE, IDENTITY
@@ -285,6 +285,31 @@ class TestEndpoints:
             "user": demo_manifest.users[0].iri, "category": PATIENT, "purpose": PUBLIC_HEALTH,
         })
         assert status == 200
+
+    def test_rewrite_aimed_at_another_pairs_agreement_is_refused(self, server, demo_manifest):
+        # the lock on org_01 used to let its rewrite take over org_02's
+        # agreement, after which org_02's users were denied
+        org_01, org_02 = demo_manifest.orgs[:2]
+        graph = server.service.graph
+        before = read_dua(graph, org_02.dua_iri)
+        user, category, purpose = next(
+            combo for combo in demo_manifest.clean_requests() if combo[0].org_iri == org_02.iri
+        )
+        clean = {"user": user.iri, "category": category, "purpose": purpose}
+        status, body = http("POST", server.url + "/requests", clean)
+        assert status == 200 and body["decision"]["granted"] is True
+        server.service.registry.lock_pair(demo_manifest.custodian_iri, org_01.iri)
+        status, body = http("POST", server.url + "/admin/dua", {
+            "iri": org_02.dua_iri, "custodian": demo_manifest.custodian_iri,
+            "recipient": org_01.iri, "requestedData": [PATIENT],
+            "permittedUseOrDisclosure": [PUBLIC_HEALTH],
+        })
+        assert status == 409
+        assert body["error"]
+        assert read_dua(graph, org_02.dua_iri) == before
+        assert server.service.registry.check_lockout(demo_manifest.custodian_iri, org_01.iri)
+        status, body = http("POST", server.url + "/requests", clean)
+        assert status == 200 and body["decision"]["granted"] is True
 
     def test_negative_content_length_is_bad_request(self, server):
         # read(-1) would block until the client closed the socket

@@ -345,9 +345,9 @@ class TestLineFormat:
         for index in (g2._spo, g2._pos):
             for first, seconds in index.items():
                 assert seen[first] is first
-                for second, thirds in seconds.items():
+                for second, leaf in seconds.items():
                     assert seen[second] is second
-                    assert all(seen[third] is third for third in thirds)
+                    assert all(seen[third] is third for third in leaf_members(leaf))
 
 
 # quotes, backslashes, control characters, non-ASCII text and lone
@@ -401,6 +401,20 @@ class TestIdentityEquality:
         assert trip != (trip.subject, trip.predicate, term)
 
 
+def leaf_members(leaf):
+    """An index leaf's members: a dict's keys in order, or the bare term."""
+    if isinstance(leaf, dict):
+        return list(leaf)
+    assert isinstance(leaf, Term)
+    return [leaf]
+
+
+def index_leaves(graph):
+    for index in (graph._spo, graph._pos):
+        for seconds in index.values():
+            yield from seconds.values()
+
+
 def index_triples(graph):
     """Walk each of the two indexes and rebuild the triple set."""
     out = {}
@@ -410,8 +424,8 @@ def index_triples(graph):
     ):
         triples = set()
         for first, seconds in index.items():
-            for second, thirds in seconds.items():
-                for third in thirds:
+            for second, leaf in seconds.items():
+                for third in leaf_members(leaf):
                     s, p, o = arrange(first, second, third)
                     triples.add(Triple(s, p, o))
         out[label] = triples
@@ -431,6 +445,67 @@ class TestIndexConsistency:
         expected = set(g)
         for label, triples in index_triples(g).items():
             assert triples == expected, f"{label} index out of sync"
+        # one member is a bare term, so churn leaves no small dict behind
+        assert not any(isinstance(leaf, dict) and len(leaf) < 2 for leaf in index_leaves(g))
+
+
+class TestLeafForms:
+    """A leaf goes 0 -> 1 -> 2 -> 1 -> 0 members under one (s, p) and one
+    (p, o); at each step every read agrees with the triples present, in
+    insertion order, and the leaf is a dict exactly while it has two."""
+
+    S1, S2, P = SYN_NS + "s1", SYN_NS + "s2", SYN_NS + "p"
+    O1, O2 = SYN_NS + "o1", SYN_NS + "o2"
+
+    def check(self, g, present, subject_order):
+        # fresh terms, equal to the stored ones but not the same objects
+        s1, p, o1 = iri(self.S1), iri(self.P), iri(self.O1)
+        objects = [o for s, _, o in present if s == self.S1]
+        subjects = [s for s, _, o in present if o == self.O1]
+        assert [o.lexical for o in g.objects_for(s1, p)] == objects
+        assert [s.lexical for s in g.subjects_for(p, o1)] == subjects
+        for s, o in ((self.S1, self.O1), (self.S1, self.O2), (self.S2, self.O1)):
+            assert g.contains_spo(iri(s), p, iri(o)) == ((s, self.P, o) in present)
+        assert g.match(TriplePattern(s1, p, Var("o"))) == sorted(
+            (t(self.S1, self.P, o) for o in objects), key=Triple.sort_key)
+        assert g.match(TriplePattern(Var("s"), p, o1)) == sorted(
+            (t(s, self.P, self.O1) for s in subjects), key=Triple.sort_key)
+        scanned = [(a.lexical, b.lexical, c.lexical) for a, b, c in g.iter_terms(None, None, None)]
+        assert scanned == [trip for s in subject_order for trip in present if trip[0] == s]
+        assert len(g) == len(present)
+        for leaf, members in ((g._spo.get(s1, {}).get(p), objects),
+                              (g._pos.get(p, {}).get(o1), subjects)):
+            if members:
+                assert isinstance(leaf, dict) == (len(members) > 1)
+            else:
+                assert leaf is None
+        if not present:
+            assert g._spo == {} and g._pos == {}
+
+    def test_leaf_grows_and_shrinks(self):
+        a = (self.S1, self.P, self.O1)
+        b = (self.S1, self.P, self.O2)
+        c = (self.S2, self.P, self.O1)
+        g = Graph()
+        present, subject_order = [], []
+        self.check(g, present, subject_order)
+        # a, b, c grow (s1, p) to two members with b and (p, o1) with c; the
+        # removals shrink both to none, and a put back while b and c remain
+        # comes last in both leaves
+        for op, trip in (("+", a), ("+", b), ("+", c), ("-", a), ("+", a), ("-", a),
+                         ("-", a), ("-", b), ("-", c)):
+            if op == "+":
+                assert g.insert(t(*trip)) == (trip not in present)
+                if trip[0] not in subject_order:
+                    subject_order.append(trip[0])
+                present.append(trip)
+            else:
+                assert g.remove(t(*trip)) == (trip in present)
+                if trip in present:
+                    present.remove(trip)
+                if all(s != trip[0] for s, _, _ in present):
+                    subject_order.remove(trip[0])
+            self.check(g, present, subject_order)
 
 
 class TestNamespaces:
