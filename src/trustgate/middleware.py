@@ -4,10 +4,12 @@ peer nodes.
 
 Every request executes in order: lockout check, recipient policy checks,
 custodian checks, trust assessment, grant or deny, penalties, projection
-refresh, update enqueue, retrieval, transaction log. The four instrumented
-stages are timed with a monotonic clock (the two policy stages inside
-`PolicyEngine.evaluate`) so the benchmark harness measures the real code
-path.
+refresh, update enqueue, transaction log, retrieval. Everything up to the
+log append runs in one section under the write side of the node's one lock,
+so the log lists decisions in the order they changed the state; retrieval
+follows under the read side. The four instrumented stages are timed with a
+monotonic clock (the two policy stages inside `PolicyEngine.evaluate`) so
+the benchmark harness measures the real code path.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import threading
 import time
 import urllib.request
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from decimal import Decimal
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from operator import attrgetter
@@ -59,7 +61,12 @@ logger = logging.getLogger(__name__)
 
 STAGE_TRUST_UPDATE = "trustScoreUpdate"
 STAGE_RETRIEVAL = "dataRetrieval"
-STAGES = (STAGE_POLICY, STAGE_CREDIBILITY, STAGE_TRUST_UPDATE, STAGE_RETRIEVAL)
+# the stages timed before a request's decision commits; retrieval follows it
+DECISION_STAGES = (STAGE_POLICY, STAGE_CREDIBILITY, STAGE_TRUST_UPDATE)
+STAGES = DECISION_STAGES + (STAGE_RETRIEVAL,)
+
+# a POST body longer than this is refused before any of it is read
+MAX_BODY_BYTES = 1 << 20
 
 
 class MiddlewareError(Exception):
@@ -67,6 +74,10 @@ class MiddlewareError(Exception):
 
 
 class RequestValidationError(MiddlewareError):
+    pass
+
+
+class RequestTooLargeError(MiddlewareError):
     pass
 
 
@@ -117,13 +128,7 @@ class ScoreUpdate:
     origin: str
 
     def to_dict(self) -> dict:
-        return {
-            "principal": self.principal,
-            "score": self.score,
-            "value": self.value,
-            "version": self.version,
-            "origin": self.origin,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScoreUpdate":
@@ -160,12 +165,7 @@ class AppliedPenalty:
     after: str
 
     def to_dict(self) -> dict:
-        return {
-            "principal": self.principal,
-            "kind": self.kind,
-            "before": self.before,
-            "after": self.after,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -258,6 +258,21 @@ def _row_texts(records: BindingSet) -> list[str]:
         except AttributeError:  # some term has no memoized text yet
             return list(map(json_term, column))
     return [", ".join(map(json_term, row)) for row in records.rows]
+
+
+def _body_slices(updates: list[ScoreUpdate]) -> Iterable[list[dict]]:
+    """`updates` as dicts, in runs whose `{"updates": [...]}` body each
+    encodes within MAX_BODY_BYTES; 64 bytes are kept for the envelope."""
+    batch, size = [], 64
+    for data in map(ScoreUpdate.to_dict, updates):
+        length = len(json.dumps(data)) + 2  # the item and its ", "
+        if batch and size + length > MAX_BODY_BYTES:
+            yield batch
+            batch, size = [], 64
+        batch.append(data)
+        size += length
+    if batch:
+        yield batch
 
 
 def _request_to_dict(request: DataRequest) -> dict:
@@ -354,10 +369,14 @@ class ExchangeMiddleware:
         self.peers = list(peers)
         self._log_file = open(log_path, "a", encoding="utf-8") if log_path else None
         self._http_timeout = http_timeout
+        # the node's one lock: requests decide and commit under its write
+        # side; retrieval and the propagation snapshot read under its read side
         self._lock = RWLock()
-        self._prop_lock = threading.Lock()
+        # the queue holds the update stream from _pending_base on; a peer's
+        # cursor counts the updates it acknowledged from the stream's start
         self._pending: list[ScoreUpdate] = []
-        self._peer_cursor: dict[str, int] = {}
+        self._pending_base = 0
+        self._peer_cursor: dict[str, int] = dict.fromkeys(self.peers, 0)
         self._register_principals()
         # registration may emit events; initial scores are not propagated
         self.registry.take_events()
@@ -409,7 +428,7 @@ class ExchangeMiddleware:
     # -- exchange cycle -------------------------------------------------------
 
     def handle_request(self, request: DataRequest) -> DataResponse:
-        timings = {stage: 0.0 for stage in STAGES}
+        timings = dict.fromkeys(DECISION_STAGES, 0.0)
         registry = self.registry
         try:
             user = request.user
@@ -431,98 +450,81 @@ class ExchangeMiddleware:
             logger.warning("request %s rejected: %s", request.request_id, exc)
             raise
 
-        if registry.check_lockout(request.custodian, org):
-            decision = AccessDecision(
-                granted=False,
-                compliance=None,
-                assessment=None,
-                applied_penalties=(),
-                lockout_triggered=True,
-            )
-            response = DataResponse(
-                request_id=request.request_id,
-                decision=decision,
-                records=None,
-                custodian_notices=(
-                    {"type": "lockout", "custodian": request.custodian, "organization": org},
-                ),
-                timings=timings,
-            )
-            self._append_log(request, response)
-            return response
-
-        with self._lock.read():
-            compliance = self.engine.evaluate(request, timings)
-
-        # the score mutation and its projection commit before any data moves
+        # the verdict, its score mutations and its log line commit as one
+        # step, so the log order is the order the state changed in
         clock = time.perf_counter
-        t0 = clock()
-        assessment = registry.assess(user.iri, self.assessment_cfg)
-        granted = compliance.compliant and assessment.passed
+        compliance = assessment = None
         applied: list[AppliedPenalty] = []
         notices: list[dict] = []
-        penalty = self.engine.penalty_for(compliance)
         with self._lock.write():
-            if penalty is not None:
-                if PENALTY_TARGET[penalty] == "user":
-                    before = registry.get(user.iri).behavior
-                    org_identity_before = registry.get(org).identity
-                    record = registry.penalize_user(user.iri, penalty, self.penalty_cfg)
-                    applied.append(AppliedPenalty(
-                        user.iri, penalty, canonical_score(before), canonical_score(record.behavior)
-                    ))
-                    org_identity_after = registry.get(org).identity
-                    if org_identity_after != org_identity_before:
+            locked = registry.check_lockout(request.custodian, org)
+            if locked:
+                granted = False
+                notices.append({"type": "lockout", "custodian": request.custodian, "organization": org})
+            else:
+                compliance = self.engine.evaluate(request, timings)
+                t0 = clock()
+                assessment = registry.assess(user.iri, self.assessment_cfg)
+                granted = compliance.compliant and assessment.passed
+                penalty = self.engine.penalty_for(compliance)
+                if penalty is not None:
+                    if PENALTY_TARGET[penalty] == "user":
+                        before = registry.get(user.iri).behavior
+                        org_identity_before = registry.get(org).identity
+                        record = registry.penalize_user(user.iri, penalty, self.penalty_cfg)
                         applied.append(AppliedPenalty(
-                            org, penalty,
-                            canonical_score(org_identity_before),
-                            canonical_score(org_identity_after),
+                            user.iri, penalty, canonical_score(before), canonical_score(record.behavior)
                         ))
-                else:
-                    before = registry.get(request.custodian).credibility
-                    record = registry.penalize_org(request.custodian, penalty, self.penalty_cfg)
-                    applied.append(AppliedPenalty(
-                        request.custodian, penalty,
-                        canonical_score(before), canonical_score(record.credibility),
-                    ))
-                    notices.append({
-                        "type": penalty,
-                        "category": request.category,
-                        "custodian": request.custodian,
-                    })
-                custodian_rec = registry.get(request.custodian)
-                org_rec = registry.get(org)
-                if (custodian_rec.credibility is not None and custodian_rec.credibility <= 0) or \
-                        org_rec.identity <= 0:
-                    registry.lock_pair(request.custodian, org)
-            for principal in (user.iri, org, request.custodian):
-                registry.touch_projection(principal)
-        self._enqueue(registry.take_events())
-        timings[STAGE_TRUST_UPDATE] += clock() - t0
+                        org_identity_after = registry.get(org).identity
+                        if org_identity_after != org_identity_before:
+                            applied.append(AppliedPenalty(
+                                org, penalty,
+                                canonical_score(org_identity_before),
+                                canonical_score(org_identity_after),
+                            ))
+                    else:
+                        before = registry.get(request.custodian).credibility
+                        record = registry.penalize_org(request.custodian, penalty, self.penalty_cfg)
+                        applied.append(AppliedPenalty(
+                            request.custodian, penalty,
+                            canonical_score(before), canonical_score(record.credibility),
+                        ))
+                        notices.append({
+                            "type": penalty,
+                            "category": request.category,
+                            "custodian": request.custodian,
+                        })
+                    custodian_rec = registry.get(request.custodian)
+                    if (custodian_rec.credibility is not None and custodian_rec.credibility <= 0) or \
+                            registry.get(org).identity <= 0:
+                        registry.lock_pair(request.custodian, org)
+                for principal in (user.iri, org, request.custodian):
+                    registry.touch_projection(principal)
+                self._enqueue(registry.take_events())
+                timings[STAGE_TRUST_UPDATE] += clock() - t0
+            decision = AccessDecision(
+                granted=granted,
+                compliance=compliance,
+                assessment=assessment,
+                applied_penalties=tuple(applied),
+                lockout_triggered=locked,
+            )
+            self._append_log(request, decision, timings)
 
         records = None
+        timings[STAGE_RETRIEVAL] = 0.0
         if granted:
             t0 = clock()
             with self._lock.read():
                 records = self.retrieve(request.category)
-            timings[STAGE_RETRIEVAL] += clock() - t0
-
-        decision = AccessDecision(
-            granted=granted,
-            compliance=compliance,
-            assessment=assessment,
-            applied_penalties=tuple(applied),
-            lockout_triggered=False,
-        )
-        response = DataResponse(
+            timings[STAGE_RETRIEVAL] = clock() - t0
+        return DataResponse(
             request_id=request.request_id,
             decision=decision,
             records=records,
             custodian_notices=tuple(notices),
             timings=timings,
         )
-        self._append_log(request, response)
-        return response
 
     def retrieve(self, category_iri: str) -> BindingSet:
         """All instances of the category, one row each."""
@@ -534,20 +536,20 @@ class ExchangeMiddleware:
     # -- score propagation -----------------------------------------------------
 
     def _enqueue(self, events) -> None:
+        """Queue committed score events for the peers, under the write lock."""
         if not self.peers or not events:
             return
-        with self._prop_lock:
-            for principal, score, value, version in events:
-                self._pending.append(ScoreUpdate(
-                    principal=principal,
-                    score=score,
-                    value=canonical_score(value),
-                    version=version,
-                    origin=self.node_id,
-                ))
+        for principal, score, value, version in events:
+            self._pending.append(ScoreUpdate(
+                principal=principal,
+                score=score,
+                value=canonical_score(value),
+                version=version,
+                origin=self.node_id,
+            ))
 
     def pending_updates(self) -> list[ScoreUpdate]:
-        with self._prop_lock:
+        with self._lock.read():
             return list(self._pending)
 
     def propagate_scores(
@@ -556,7 +558,9 @@ class ExchangeMiddleware:
         max_attempts: int = 3,
         backoff: float = 0.05,
     ) -> dict[str, dict]:
-        """Deliver pending updates to each peer at least once.
+        """Deliver pending updates to each peer at least once, in POSTs that
+        each fit MAX_BODY_BYTES; a peer's cursor moves past each one it
+        acknowledges, and only forward, so overlapping calls skip nothing.
 
         A peer that stays unreachable keeps its undelivered updates queued
         for the next call; the queue is pruned once every configured peer,
@@ -564,42 +568,37 @@ class ExchangeMiddleware:
         """
         targets = list(peers) if peers is not None else list(self.peers)
         results: dict[str, dict] = {}
-        with self._prop_lock:
+        with self._lock.read():
+            base = self._pending_base
             snapshot = list(self._pending)
+            cursors = {peer: self._peer_cursor.get(peer, base) for peer in targets}
         for peer in targets:
-            cursor = self._peer_cursor.setdefault(peer, 0)
-            batch = snapshot[cursor:]
-            if not batch:
-                results[peer] = {"ok": True, "delivered": 0}
-                continue
-            error = None
-            for attempt in range(max_attempts):
-                try:
-                    self._post_json(
-                        peer.rstrip("/") + "/peers/scores",
-                        {"updates": [u.to_dict() for u in batch]},
-                    )
-                    error = None
+            delivered, error = 0, None
+            for batch in _body_slices(snapshot[cursors[peer] - base:]):
+                for attempt in range(max_attempts):
+                    try:
+                        self._post_json(peer.rstrip("/") + "/peers/scores", {"updates": batch})
+                        error = None
+                        break
+                    except Exception as exc:
+                        error = exc
+                        if attempt + 1 < max_attempts:
+                            time.sleep(backoff * (2 ** attempt))
+                if error is not None:
                     break
-                except Exception as exc:
-                    error = exc
-                    if attempt + 1 < max_attempts:
-                        time.sleep(backoff * (2 ** attempt))
-            if error is None:
-                self._peer_cursor[peer] = cursor + len(batch)
-                results[peer] = {"ok": True, "delivered": len(batch)}
-            else:
-                results[peer] = {"ok": False, "delivered": 0, "error": str(error)}
+                delivered += len(batch)
+            cursors[peer] += delivered
+            results[peer] = {"ok": error is None, "delivered": delivered}
+            if error is not None:
+                results[peer]["error"] = str(error)
                 logger.warning("peer %s unreachable: %s", peer, error)
-        with self._prop_lock:
-            # no cursor may fall below zero, or that peer would skip updates
-            configured = [self._peer_cursor.get(peer, 0) for peer in self.peers]
-            low = min(configured + list(self._peer_cursor.values()), default=0)
-            if low:
-                del self._pending[:low]
-                self._peer_cursor = {
-                    peer: cursor - low for peer, cursor in self._peer_cursor.items()
-                }
+        with self._lock.write():
+            head = self._pending_base
+            for peer, cursor in cursors.items():
+                self._peer_cursor[peer] = max(self._peer_cursor.get(peer, head), cursor)
+            low = min(self._peer_cursor.values(), default=head)
+            del self._pending[:low - head]
+            self._pending_base = low
         return results
 
     def receive_scores(self, updates: Iterable[ScoreUpdate]) -> int:
@@ -623,12 +622,13 @@ class ExchangeMiddleware:
                 record.custodian, record.recipient, record, self.graph
             )
             self._enqueue(self.registry.take_events())
+            locked = self.registry.check_lockout(record.custodian, record.recipient)
         return {
             "custodian": {"iri": custodian.principal.iri,
                           "credibility": canonical_score(custodian.credibility)},
             "recipient": {"iri": recipient.principal.iri,
                           "identity": canonical_score(recipient.identity)},
-            "locked": self.registry.check_lockout(record.custodian, record.recipient),
+            "locked": locked,
         }
 
     def trust_record_dict(self, principal_iri: str) -> dict:
@@ -644,15 +644,17 @@ class ExchangeMiddleware:
 
     # -- transaction log --------------------------------------------------------
 
-    def _append_log(self, request: DataRequest, response: DataResponse) -> None:
+    def _append_log(self, request: DataRequest, decision: AccessDecision,
+                    timings: dict[str, float]) -> None:
+        """Write the committed decision with the stages timed before it."""
         if self._log_file is None:
             return
         record = {
             "requestId": request.request_id,
             "request": _request_to_dict(request),
-            "decision": response.decision.to_dict(),
-            "penalties": [p.to_dict() for p in response.decision.applied_penalties],
-            "timings": dict(response.timings),
+            "decision": decision.to_dict(),
+            "penalties": [p.to_dict() for p in decision.applied_penalties],
+            "timings": timings,
         }
         self._log_file.write(json.dumps(record, sort_keys=True) + "\n")
         self._log_file.flush()
@@ -722,6 +724,9 @@ class _Handler(BaseHTTPRequestHandler):
         if length < 0:
             # rfile.read(-1) would wait for the client to close the socket
             raise ValueError(f"negative Content-Length: {length}")
+        if length > MAX_BODY_BYTES:
+            # reading a false length would hold this thread until the client left
+            raise RequestTooLargeError(f"request body of {length} bytes exceeds {MAX_BODY_BYTES}")
         raw = self.rfile.read(length) if length else b""
         return json.loads(raw or b"{}")
 
@@ -744,6 +749,9 @@ class _Handler(BaseHTTPRequestHandler):
         path = urlparse(self.path).path
         try:
             body = self._body()
+        except RequestTooLargeError as exc:
+            self._reply(413, {"error": str(exc)})
+            return
         except (ValueError, json.JSONDecodeError) as exc:
             self._reply(400, {"error": f"bad request body: {exc}"})
             return

@@ -7,7 +7,6 @@ score (written in canonical decimal form) that is refreshed on each mutation.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, replace
 from decimal import Decimal
 from typing import Optional
@@ -204,15 +203,16 @@ def assess(record: TrustRecord, cfg: AssessmentConfig) -> Assessment:
 
 
 class TrustRegistry:
-    """Holds the authoritative records and serializes mutations.
+    """Holds the authoritative records.
 
-    When constructed with a graph, every mutation refreshes that principal's
-    projected score triples.
+    The registry takes no lock: its owner serializes access, as
+    `ExchangeMiddleware` does by making every mutation under its node lock's
+    write side. When constructed with a graph, every mutation refreshes that
+    principal's projected score triples.
     """
 
     def __init__(self, graph: Optional[Graph] = None):
         self._records: dict[str, TrustRecord] = {}
-        self._lock = threading.RLock()
         self._graph = graph
         self._events: list[tuple[str, str, Decimal, int]] = []
         self._subjects: dict[str, object] = {}
@@ -222,16 +222,15 @@ class TrustRegistry:
     def register(self, ref: PrincipalRef) -> TrustRecord:
         """Initialize a principal: users get behavior 1 and identity 1,
         organizations credibility 1 and identity 1."""
-        with self._lock:
-            if ref.iri in self._records:
-                raise DuplicatePrincipalError(f"{ref.iri} is already registered")
-            if ref.kind == USER:
-                record = TrustRecord(ref, behavior=ONE, identity=ONE, credibility=None)
-            else:
-                record = TrustRecord(ref, behavior=None, identity=ONE, credibility=ONE)
-            self._records[ref.iri] = record
-            self._refresh_projection(record)
-            return record
+        if ref.iri in self._records:
+            raise DuplicatePrincipalError(f"{ref.iri} is already registered")
+        if ref.kind == USER:
+            record = TrustRecord(ref, behavior=ONE, identity=ONE, credibility=None)
+        else:
+            record = TrustRecord(ref, behavior=None, identity=ONE, credibility=ONE)
+        self._records[ref.iri] = record
+        self._refresh_projection(record)
+        return record
 
     def is_registered(self, principal_iri: str) -> bool:
         return principal_iri in self._records
@@ -258,38 +257,36 @@ class TrustRegistry:
         """
         if kind not in USER_PENALTIES:
             raise TrustError(f"not a user penalty kind: {kind}")
-        with self._lock:
-            record = self.get(principal_iri)
-            if not record.is_user():
-                raise PrincipalKindError(f"{principal_iri} is not a user")
-            if record.grace_used < cfg.tolerance_grace:
-                new = replace(record, grace_used=record.grace_used + 1,
-                              version=record.version + 1)
-                self._commit(new)
-                return new
-            behavior = record.behavior - cfg.deduction(kind)
-            if behavior < ZERO:
-                behavior = ZERO
-            new = replace(record, behavior=behavior, version=record.version + 1)
-            self._commit(new, changed=(BEHAVIOR,))
-            if cfg.penalize_org_identity and record.principal.affiliation:
-                self._penalize_identity(record.principal.affiliation, cfg.deduction(kind))
+        record = self.get(principal_iri)
+        if not record.is_user():
+            raise PrincipalKindError(f"{principal_iri} is not a user")
+        if record.grace_used < cfg.tolerance_grace:
+            new = replace(record, grace_used=record.grace_used + 1,
+                          version=record.version + 1)
+            self._commit(new)
             return new
+        behavior = record.behavior - cfg.deduction(kind)
+        if behavior < ZERO:
+            behavior = ZERO
+        new = replace(record, behavior=behavior, version=record.version + 1)
+        self._commit(new, changed=(BEHAVIOR,))
+        if cfg.penalize_org_identity and record.principal.affiliation:
+            self._penalize_identity(record.principal.affiliation, cfg.deduction(kind))
+        return new
 
     def penalize_org(self, principal_iri: str, kind: str, cfg: PenaltyConfig) -> TrustRecord:
         """Deduct from an organization's credibility score, clamped at zero."""
         if kind not in ORG_PENALTIES:
             raise TrustError(f"not an organization penalty kind: {kind}")
-        with self._lock:
-            record = self.get(principal_iri)
-            if record.is_user():
-                raise PrincipalKindError(f"{principal_iri} is not an organization")
-            credibility = record.credibility - cfg.deduction(kind)
-            if credibility < ZERO:
-                credibility = ZERO
-            new = replace(record, credibility=credibility, version=record.version + 1)
-            self._commit(new, changed=(CREDIBILITY_SCORE,))
-            return new
+        record = self.get(principal_iri)
+        if record.is_user():
+            raise PrincipalKindError(f"{principal_iri} is not an organization")
+        credibility = record.credibility - cfg.deduction(kind)
+        if credibility < ZERO:
+            credibility = ZERO
+        new = replace(record, credibility=credibility, version=record.version + 1)
+        self._commit(new, changed=(CREDIBILITY_SCORE,))
+        return new
 
     def _penalize_identity(self, principal_iri: str, deduction: Decimal) -> None:
         record = self.get(principal_iri)
@@ -319,22 +316,20 @@ class TrustRegistry:
         )
 
     def lock_pair(self, custodian_iri: str, recipient_org_iri: str) -> None:
-        with self._lock:
-            for a, b in ((custodian_iri, recipient_org_iri), (recipient_org_iri, custodian_iri)):
-                record = self.get(a)
-                if b not in record.locked_with:
-                    new = replace(record, locked_with=record.locked_with | {b},
-                                  version=record.version + 1)
-                    self._commit(new)
+        for a, b in ((custodian_iri, recipient_org_iri), (recipient_org_iri, custodian_iri)):
+            record = self.get(a)
+            if b not in record.locked_with:
+                new = replace(record, locked_with=record.locked_with | {b},
+                              version=record.version + 1)
+                self._commit(new)
 
     def unlock_pair(self, custodian_iri: str, recipient_org_iri: str) -> None:
-        with self._lock:
-            for a, b in ((custodian_iri, recipient_org_iri), (recipient_org_iri, custodian_iri)):
-                record = self.get(a)
-                if b in record.locked_with:
-                    new = replace(record, locked_with=record.locked_with - {b},
-                                  version=record.version + 1)
-                    self._commit(new)
+        for a, b in ((custodian_iri, recipient_org_iri), (recipient_org_iri, custodian_iri)):
+            record = self.get(a)
+            if b in record.locked_with:
+                new = replace(record, locked_with=record.locked_with - {b},
+                              version=record.version + 1)
+                self._commit(new)
 
     def rewrite_dua_reset(
         self, custodian_iri: str, recipient_org_iri: str, new_dua: DuaRecord,
@@ -347,40 +342,39 @@ class TrustRegistry:
         must bind exactly this pair; an agreement already at its IRI must
         bind this pair too, so one pair's rewrite cannot take over another's.
         """
-        with self._lock:
-            if not self.check_lockout(custodian_iri, recipient_org_iri):
-                raise LockStateError(
-                    f"{custodian_iri} and {recipient_org_iri} are not locked"
-                )
-            if new_dua.custodian != custodian_iri or new_dua.recipient != recipient_org_iri:
+        if not self.check_lockout(custodian_iri, recipient_org_iri):
+            raise LockStateError(
+                f"{custodian_iri} and {recipient_org_iri} are not locked"
+            )
+        if new_dua.custodian != custodian_iri or new_dua.recipient != recipient_org_iri:
+            raise DuaMismatchError(
+                "agreement does not bind the locked pair: "
+                f"{new_dua.custodian} -> {new_dua.recipient}"
+            )
+        target = graph if graph is not None else self._graph
+        if target is None:
+            raise TrustError("no graph available to persist the agreement")
+        subject = iri(new_dua.iri)
+        if target.contains_spo(subject, RDF_TYPE, DUA_CLASS):
+            custodians = set(target.objects_for(subject, HAS_DATA_CUSTODIAN))
+            recipients = set(target.objects_for(subject, HAS_RECIPIENT))
+            if (custodians, recipients) != ({iri(custodian_iri)}, {iri(recipient_org_iri)}):
                 raise DuaMismatchError(
-                    "agreement does not bind the locked pair: "
-                    f"{new_dua.custodian} -> {new_dua.recipient}"
+                    f"{new_dua.iri} is not the agreement of the locked pair: "
+                    f"it binds {sorted(t.lexical for t in custodians)} -> "
+                    f"{sorted(t.lexical for t in recipients)}"
                 )
-            target = graph if graph is not None else self._graph
-            if target is None:
-                raise TrustError("no graph available to persist the agreement")
-            subject = iri(new_dua.iri)
-            if target.contains_spo(subject, RDF_TYPE, DUA_CLASS):
-                custodians = set(target.objects_for(subject, HAS_DATA_CUSTODIAN))
-                recipients = set(target.objects_for(subject, HAS_RECIPIENT))
-                if (custodians, recipients) != ({iri(custodian_iri)}, {iri(recipient_org_iri)}):
-                    raise DuaMismatchError(
-                        f"{new_dua.iri} is not the agreement of the locked pair: "
-                        f"it binds {sorted(t.lexical for t in custodians)} -> "
-                        f"{sorted(t.lexical for t in recipients)}"
-                    )
-            write_dua(target, new_dua)
-            custodian = self.get(custodian_iri)
-            if custodian.credibility is not None and custodian.credibility <= ZERO:
-                custodian = replace(custodian, credibility=ONE, version=custodian.version + 1)
-                self._commit(custodian, changed=(CREDIBILITY_SCORE,))
-            recipient = self.get(recipient_org_iri)
-            if recipient.identity <= ZERO:
-                recipient = replace(recipient, identity=ONE, version=recipient.version + 1)
-                self._commit(recipient, changed=(IDENTITY,))
-            self.unlock_pair(custodian_iri, recipient_org_iri)
-            return self.get(custodian_iri), self.get(recipient_org_iri)
+        write_dua(target, new_dua)
+        custodian = self.get(custodian_iri)
+        if custodian.credibility is not None and custodian.credibility <= ZERO:
+            custodian = replace(custodian, credibility=ONE, version=custodian.version + 1)
+            self._commit(custodian, changed=(CREDIBILITY_SCORE,))
+        recipient = self.get(recipient_org_iri)
+        if recipient.identity <= ZERO:
+            recipient = replace(recipient, identity=ONE, version=recipient.version + 1)
+            self._commit(recipient, changed=(IDENTITY,))
+        self.unlock_pair(custodian_iri, recipient_org_iri)
+        return self.get(custodian_iri), self.get(recipient_org_iri)
 
     # -- replication -------------------------------------------------------
 
@@ -390,63 +384,59 @@ class TrustRegistry:
         duplicate versions are ignored. Unknown principals are auto-registered.
         """
         score = as_score(value)
-        with self._lock:
-            record = self._records.get(principal_iri)
-            if record is None:
-                kind = kind_hint or (USER if score_name == BEHAVIOR else ORGANIZATION)
-                ref = PrincipalRef(iri=principal_iri, kind=kind)
-                record = (
-                    TrustRecord(ref, behavior=ONE, identity=ONE, credibility=None, version=0)
-                    if kind == USER
-                    else TrustRecord(ref, behavior=None, identity=ONE, credibility=ONE, version=0)
-                )
-                self._records[principal_iri] = record
-            if version <= record.version:
-                return False
-            if score_name == BEHAVIOR:
-                new = replace(record, behavior=score, version=version)
-            elif score_name == CREDIBILITY_SCORE:
-                new = replace(record, credibility=score, version=version)
-            elif score_name == IDENTITY:
-                new = replace(record, identity=score, version=version)
-            else:
-                raise TrustError(f"unknown score name: {score_name}")
-            self._records[principal_iri] = new
-            self._refresh_projection(new)
-            return True
+        record = self._records.get(principal_iri)
+        if record is None:
+            kind = kind_hint or (USER if score_name == BEHAVIOR else ORGANIZATION)
+            ref = PrincipalRef(iri=principal_iri, kind=kind)
+            record = (
+                TrustRecord(ref, behavior=ONE, identity=ONE, credibility=None, version=0)
+                if kind == USER
+                else TrustRecord(ref, behavior=None, identity=ONE, credibility=ONE, version=0)
+            )
+            self._records[principal_iri] = record
+        if version <= record.version:
+            return False
+        if score_name == BEHAVIOR:
+            new = replace(record, behavior=score, version=version)
+        elif score_name == CREDIBILITY_SCORE:
+            new = replace(record, credibility=score, version=version)
+        elif score_name == IDENTITY:
+            new = replace(record, identity=score, version=version)
+        else:
+            raise TrustError(f"unknown score name: {score_name}")
+        self._records[principal_iri] = new
+        self._refresh_projection(new)
+        return True
 
     def set_score(self, principal_iri: str, score_name: str, value) -> TrustRecord:
         """Versioned direct write (agreement resets, harness state resets)."""
         score = as_score(value)
-        with self._lock:
-            record = self.get(principal_iri)
-            new = replace(record, **{
-                BEHAVIOR: {"behavior": score},
-                IDENTITY: {"identity": score},
-                CREDIBILITY_SCORE: {"credibility": score},
-            }[score_name], version=record.version + 1)
-            self._commit(new, changed=(score_name,))
-            return new
+        record = self.get(principal_iri)
+        new = replace(record, **{
+            BEHAVIOR: {"behavior": score},
+            IDENTITY: {"identity": score},
+            CREDIBILITY_SCORE: {"credibility": score},
+        }[score_name], version=record.version + 1)
+        self._commit(new, changed=(score_name,))
+        return new
 
     def take_events(self) -> list[tuple[str, str, Decimal, int]]:
         """Drain (principal, score, value, version) mutation events."""
-        with self._lock:
-            events, self._events = self._events, []
-            return events
+        events, self._events = self._events, []
+        return events
 
     def snapshot(self) -> dict[str, dict]:
         """Canonical view used for replay and convergence comparison."""
-        with self._lock:
-            out = {}
-            for principal_iri, record in sorted(self._records.items()):
-                scores = {name: canonical_score(value) for name, value in record.scores().items()}
-                out[principal_iri] = {
-                    "kind": record.principal.kind,
-                    "version": record.version,
-                    "scores": scores,
-                    "locked_with": sorted(record.locked_with),
-                }
-            return out
+        out = {}
+        for principal_iri, record in sorted(self._records.items()):
+            scores = {name: canonical_score(value) for name, value in record.scores().items()}
+            out[principal_iri] = {
+                "kind": record.principal.kind,
+                "version": record.version,
+                "scores": scores,
+                "locked_with": sorted(record.locked_with),
+            }
+        return out
 
     # -- internals -----------------------------------------------------------
 
@@ -462,8 +452,7 @@ class TrustRegistry:
         """Make the principal's projected score triples match its record:
         the per-transaction score write of the exchange cycle. Writes nothing
         when they already match, and repairs drift from direct graph updates."""
-        with self._lock:
-            self._refresh_projection(self.get(principal_iri))
+        self._refresh_projection(self.get(principal_iri))
 
     def _refresh_projection(self, record: TrustRecord) -> None:
         if self._graph is None:

@@ -3,17 +3,18 @@ import json
 import socket
 import urllib.error
 import urllib.request
+from decimal import Decimal
 from urllib.parse import quote
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from trustgate import ontology as vocab
-from trustgate.middleware import ExchangeMiddleware, start_server
+from trustgate.middleware import MAX_BODY_BYTES, ExchangeMiddleware, start_server
 from trustgate.ontology import bootstrap_vocabulary, read_dua
 from trustgate.store import Graph, SYN_NS, iri, serialize_term
 from trustgate.synth import generate_dataset
-from trustgate.trust import BEHAVIOR, CREDIBILITY_SCORE, IDENTITY
+from trustgate.trust import BEHAVIOR, CREDIBILITY_SCORE, IDENTITY, PenaltyConfig
 
 PUBLIC_HEALTH = vocab.PUBLIC_HEALTH.lexical
 IRB = vocab.IRB_APPROVED_RESEARCH.lexical
@@ -311,13 +312,15 @@ class TestEndpoints:
         status, body = http("POST", server.url + "/requests", clean)
         assert status == 200 and body["decision"]["granted"] is True
 
-    def test_negative_content_length_is_bad_request(self, server):
-        # read(-1) would block until the client closed the socket
+    @staticmethod
+    def raw_post_status(server, content_length: str) -> bytes:
+        """The status code of a POST that sends `{}` under the given `Content-Length`."""
         host, port = server.server_address[:2]
         with socket.create_connection((host, port), timeout=3) as sock:
             sock.sendall(
                 b"POST /requests HTTP/1.1\r\nHost: localhost\r\n"
-                b"Content-Type: application/json\r\nContent-Length: -1\r\n\r\n{}"
+                b"Content-Type: application/json\r\nContent-Length: "
+                + content_length.encode() + b"\r\n\r\n{}"
             )
             reply = b""
             while b"\r\n" not in reply:
@@ -325,15 +328,24 @@ class TestEndpoints:
                 if not chunk:
                     break
                 reply += chunk
-        assert reply.split(b" ")[1] == b"400"
+        return reply.split(b" ")[1]
+
+    def test_negative_content_length_is_bad_request(self, server):
+        # read(-1) would block until the client closed the socket
+        assert self.raw_post_status(server, "-1") == b"400"
+
+    def test_oversized_body_is_refused_unread(self, server):
+        # reading the claimed billion bytes would hold the handler until the
+        # client gave up
+        assert self.raw_post_status(server, "1000000000") == b"413"
 
 
 class TestPropagationOverHttp:
-    def build_node(self, spec, node_id, peers=()):
+    def build_node(self, spec, node_id, peers=(), **kwargs):
         graph = Graph()
         bootstrap_vocabulary(graph)
         generate_dataset(spec, into=graph)
-        return ExchangeMiddleware(graph, node_id=node_id, peers=list(peers))
+        return ExchangeMiddleware(graph, node_id=node_id, peers=list(peers), **kwargs)
 
     def test_two_peers_ack_and_queue_drains(self, demo_spec, demo_manifest):
         node_b = self.build_node(demo_spec, "node-b")
@@ -372,6 +384,30 @@ class TestPropagationOverHttp:
             assert node_b.trust_record_dict(demo_manifest.users[7].iri)["scores"]["behavior"] == "0.98"
         finally:
             server_b.shutdown()
+
+    def test_backlog_over_the_body_cap_arrives_in_slices(self, demo_spec, demo_manifest):
+        # in one POST this backlog would be refused with 413 on every call,
+        # and the peer would never catch up
+        node_b = self.build_node(demo_spec, "node-b")
+        server_b = start_server(node_b)
+        try:
+            node_a = self.build_node(
+                demo_spec, "node-a", peers=[server_b.url],
+                penalties=PenaltyConfig(no_dua_request=Decimal("0.0001"), penalize_org_identity=True),
+            )
+            request = node_a.build_request(demo_manifest.users[7].iri, PATIENT, PUBLIC_HEALTH)
+            for _ in range(4500):
+                node_a.handle_request(request)
+            backlog = node_a.pending_updates()
+            assert len(json.dumps({"updates": [u.to_dict() for u in backlog]})) > MAX_BODY_BYTES
+            results = node_a.propagate_scores()
+        finally:
+            server_b.shutdown()
+        assert results[server_b.url] == {"ok": True, "delivered": len(backlog)}
+        assert node_a.pending_updates() == []
+        for principal in (request.user.iri, request.user.affiliation):
+            assert node_b.trust_record_dict(principal)["scores"] == \
+                node_a.trust_record_dict(principal)["scores"]
 
     def test_empty_queue_no_traffic(self, demo_spec):
         node_a = self.build_node(demo_spec, "node-a", peers=["http://127.0.0.1:9"])

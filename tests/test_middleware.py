@@ -1,7 +1,9 @@
 import gc
 import json
 import random
+import sys
 import threading
+import time
 from dataclasses import replace
 from decimal import Decimal
 
@@ -19,12 +21,13 @@ from trustgate.middleware import (
     ScoreUpdate,
     configs_from_mapping,
     parse_config_text,
+    start_server,
 )
 from trustgate.ontology import DuaRecord, bootstrap_vocabulary
 from trustgate.query import BindingSet
 from trustgate.store import XSD_FLOAT, Graph, SYN_NS, Triple, iri, plain, serialize_term, typed
 from trustgate.synth import GeneratorSpec, demographics_manifest, generate_dataset
-from trustgate.trust import UnknownPrincipalError
+from trustgate.trust import PenaltyConfig, UnknownPrincipalError
 
 PUBLIC_HEALTH = vocab.PUBLIC_HEALTH.lexical
 IRB = vocab.IRB_APPROVED_RESEARCH.lexical
@@ -46,6 +49,14 @@ def stripped_service(stripped_graph):
 
 def user(manifest, index):
     return manifest.users[index].iri
+
+
+def build(spec, **kwargs):
+    """A service over a fresh graph generated from `spec`."""
+    graph = Graph()
+    bootstrap_vocabulary(graph)
+    generate_dataset(spec, into=graph)
+    return ExchangeMiddleware(graph, **kwargs)
 
 
 def read_log(path):
@@ -99,8 +110,6 @@ class TestExchangeCycle:
         assert response.decision.invariant_holds()
 
     def test_org_identity_flag_records_both_penalties(self, demo_graph, demo_manifest):
-        from trustgate.trust import PenaltyConfig
-
         service = ExchangeMiddleware(
             demo_graph, penalties=PenaltyConfig(penalize_org_identity=True)
         )
@@ -465,9 +474,8 @@ class TestTransactionLog:
         entry = log[0]
         assert entry["requestId"] == "req-1"
         assert entry["request"]["category"] == PATIENT
-        assert set(entry["timings"]) == {
-            STAGE_POLICY, STAGE_CREDIBILITY, STAGE_TRUST_UPDATE, STAGE_RETRIEVAL,
-        }
+        # the line is written when the decision commits, before retrieval
+        assert set(entry["timings"]) == {STAGE_POLICY, STAGE_CREDIBILITY, STAGE_TRUST_UPDATE}
 
     def test_log_file_is_line_delimited_json(self, demo_graph, demo_manifest, tmp_path):
         path = tmp_path / "transactions.ldjson"
@@ -482,14 +490,7 @@ class TestTransactionLog:
 
     def test_replay_from_log_file_lines(self, demo_spec, demo_manifest, tmp_path):
         path = tmp_path / "txns.ldjson"
-
-        def build(log_path=None):
-            graph = Graph()
-            bootstrap_vocabulary(graph)
-            generate_dataset(demo_spec, into=graph)
-            return ExchangeMiddleware(graph, log_path=log_path)
-
-        first = build(log_path=str(path))
+        first = build(demo_spec, log_path=str(path))
         for i in range(20):
             first.handle_request(
                 first.build_request(
@@ -498,21 +499,14 @@ class TestTransactionLog:
                 )
             )
         first.close()
-        replayed = build()
+        replayed = build(demo_spec)
         with open(path) as handle:
             assert replayed.replay_log(handle) == 20
         assert replayed.registry.snapshot() == first.registry.snapshot()
 
     def test_replay_reproduces_registry(self, demo_spec, demo_manifest, tmp_path):
         path = tmp_path / "txns.ldjson"
-
-        def build(log_path=None):
-            graph = Graph()
-            bootstrap_vocabulary(graph)
-            generate_dataset(demo_spec, into=graph)
-            return ExchangeMiddleware(graph, node_id="node-a", log_path=log_path)
-
-        first = build(str(path))
+        first = build(demo_spec, node_id="node-a", log_path=str(path))
         rng = random.Random(42)
         categories = [PATIENT, OBSERVATION, SYMPTOM]
         purposes = [PUBLIC_HEALTH, IRB, HCO]
@@ -525,7 +519,7 @@ class TestTransactionLog:
             )
             first.handle_request(request)
         first.close()
-        replayed = build()
+        replayed = build(demo_spec, node_id="node-a")
         assert replayed.replay_log(read_log(path)) == 200
         assert replayed.registry.snapshot() == first.registry.snapshot()
 
@@ -556,6 +550,141 @@ class TestConcurrency:
         for record in snapshot.values():
             for value in record["scores"].values():
                 assert 0.0 <= float(value) <= 1.0
+
+    @staticmethod
+    def run_threads(target, count):
+        """`target(k)` on `count` threads, switching as often as the
+        interpreter can; returns what the threads raised."""
+        errors = []
+
+        def guarded(k):
+            try:
+                target(k)
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+
+        threads = [threading.Thread(target=guarded, args=(k,)) for k in range(count)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        return errors
+
+    def test_concurrent_requests_replay_to_the_logged_decisions(
+        self, demo_spec, demo_manifest, tmp_path
+    ):
+        # each verdict must follow from the request and the state committed
+        # before it, so the log replayed in order gives every decision again
+        penalties = PenaltyConfig(
+            dua_violation=Decimal("0.05"), no_dua_request=Decimal("0.05"),
+            penalize_org_identity=True,
+        )
+        path, replay_path = tmp_path / "txns.ldjson", tmp_path / "replay.ldjson"
+        first = build(demo_spec, penalties=penalties, log_path=str(path))
+
+        def worker(k):
+            rng = random.Random(k)
+            for _ in range(60):
+                first.handle_request(first.build_request(
+                    user(demo_manifest, rng.randrange(6)),
+                    rng.choice((PATIENT, OBSERVATION, SYMPTOM)),
+                    rng.choice((PUBLIC_HEALTH, IRB, HCO)),
+                ))
+
+        assert self.run_threads(worker, 4) == []
+        first.close()
+        log = read_log(path)
+        assert len(log) == 240
+        replayed = build(demo_spec, penalties=penalties, log_path=str(replay_path))
+        assert replayed.replay_log(log) == 240
+        replayed.close()
+        for entry, again in zip(log, read_log(replay_path), strict=True):
+            assert again["decision"] == entry["decision"], entry["requestId"]
+        assert replayed.registry.snapshot() == first.registry.snapshot()
+
+    def test_overlapping_propagation_calls_skip_no_update(self, demo_spec, demo_manifest):
+        # one call may prune the queue while another is still delivering
+        # from its older snapshot; neither may move a cursor past an update
+        # the peer never got
+        service = build(demo_spec, peers=["http://peer"])
+        rng = random.Random(5)
+        sent: list[int] = []
+
+        def post(url, payload):
+            time.sleep(rng.random() * 0.002)
+            sent.extend(u["version"] for u in payload["updates"])
+
+        service._post_json = post
+        principal = user(demo_manifest, 3)
+        done = []
+
+        def worker(k):
+            if k:
+                while not done:
+                    service.propagate_scores()
+                return
+            for version in range(1, 301):
+                with service._lock.write():
+                    service._enqueue([(principal, "behavior", Decimal("0.5"), version)])
+                time.sleep(0.0001)
+            done.append(k)
+
+        assert self.run_threads(worker, 3) == []
+        service.propagate_scores()
+        assert set(sent) == set(range(1, 301))
+        assert service.pending_updates() == []
+
+    def test_propagation_loses_no_update_under_concurrent_requests(
+        self, demo_spec, demo_manifest
+    ):
+        node_b = build(demo_spec, node_id="node-b")
+        delivered: list[ScoreUpdate] = []
+        receive = node_b.receive_scores
+
+        def recording(updates):
+            delivered.extend(updates)
+            return receive(updates)
+
+        node_b.receive_scores = recording
+        server_b = start_server(node_b)
+        try:
+            node_a = build(demo_spec, node_id="node-a", peers=[server_b.url])
+            finished = []
+
+            def worker(k):
+                if k == 4:  # one propagator runs beside the four senders
+                    while len(finished) < 4:
+                        node_a.propagate_scores()
+                    return
+                try:
+                    for _ in range(20):
+                        node_a.handle_request(
+                            node_a.build_request(user(demo_manifest, k), SYMPTOM, PUBLIC_HEALTH)
+                        )
+                finally:
+                    finished.append(k)
+
+            assert self.run_threads(worker, 5) == []
+            results = node_a.propagate_scores()
+        finally:
+            server_b.shutdown()
+        assert results[server_b.url]["ok"] is True
+        assert node_a.pending_updates() == []
+        touched = {update.principal for update in delivered}
+        assert {user(demo_manifest, k) for k in range(4)} <= touched
+        for principal in touched:
+            assert node_b.trust_record_dict(principal)["scores"] == \
+                node_a.trust_record_dict(principal)["scores"]
+        held: dict[str, int] = {}
+        for update in delivered:
+            assert update.version > held.get(update.principal, 0), update
+            held[update.principal] = update.version
 
 
 class TestConfig:
