@@ -83,7 +83,9 @@ def _cmd_trust(args) -> int:
 
 
 def _cmd_serve(args) -> int:
+    started = time.perf_counter()
     graph = _load_graph(args.data)
+    load_s = time.perf_counter() - started
     assessment = penalties = None
     extras = {}
     if args.config:
@@ -116,7 +118,10 @@ def _cmd_serve(args) -> int:
                     logger.exception("score propagation failed")
 
         threading.Thread(target=pump, daemon=True).start()
-    print(f"listening on {server.url} with {len(graph)} triples", file=sys.stderr)
+    print(
+        f"listening on {server.url} with {len(graph)} triples (loaded in {load_s:.2f} s)",
+        file=sys.stderr,
+    )
     # everything built so far lives as long as the server: move it out of
     # the collector's generations so full collections walk only what
     # requests allocate

@@ -14,6 +14,7 @@ build sequence.
 
 from __future__ import annotations
 
+import io
 import re
 from decimal import Decimal, InvalidOperation
 from json.encoder import encode_basestring_ascii
@@ -277,7 +278,10 @@ class Graph:
         """Add a triple; returns False if it was already present."""
         if not isinstance(t, Triple):
             raise TermError(f"expected a Triple, got {t!r}")
-        s, p, o = t.subject, t.predicate, t.object
+        return self._add(t.subject, t.predicate, t.object)
+
+    def _add(self, s: Term, p: Term, o: Term) -> bool:
+        """`insert` for terms a `Triple` would accept: IRIs `s` and `p`."""
         if not _link(self._spo, s, p, o):
             return False
         _link(self._pos, p, o, s)
@@ -497,6 +501,14 @@ def _is_local_name(local: str) -> bool:
 # Objects are `<iri>`, `"lexical"`, or `"lexical"^^<datatype>`; subjects and
 # predicates may also be written as prefix:local names resolved against the
 # graph's namespace table. `#`-prefixed lines are comments.
+#
+# `load_lines` has two paths. The regex path (`_LINE_RE`) takes a line of
+# absolute IRIs whose object is an IRI or a literal without escapes,
+# optionally typed by an absolute datatype IRI: every line `serialize_lines`
+# writes for a literal that `_escape` leaves as it is. The scanner fallback
+# (`_parse_line`) takes every other line, and a matched line whose terms
+# `Term` rejects; it is the only parser of prefixed names and escapes, and
+# the only code that reports a `LineFormatError`.
 
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
 _UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
@@ -594,12 +606,9 @@ def _parse_object(scanner: _LineScanner, namespaces: dict, term) -> Term:
     return term(IRI, _parse_resource(scanner, namespaces))
 
 
-def parse_line(text: str, line_no: int, namespaces: dict) -> Triple:
-    return _parse_line(text, line_no, namespaces, Term)
-
-
 def _parse_line(text: str, line_no: int, namespaces: dict, term) -> Triple:
-    """parse_line with `term(kind, lexical[, datatype])` building each term."""
+    """One line as a triple, with `term(kind, lexical[, datatype])` building
+    each term; `LineFormatError` gives the line and column of a fault."""
     scanner = _LineScanner(text, line_no)
     scanner.skip_ws()
     try:
@@ -620,34 +629,69 @@ def _parse_line(text: str, line_no: int, namespaces: dict, term) -> Triple:
     return Triple(subject, predicate, obj)
 
 
+# Tokens are separated by what `_LineScanner.skip_ws` skips: spaces and tabs.
+_LINE_RE = re.compile(
+    r'[ \t]*<([^>]*)>[ \t]*<([^>]*)>[ \t]*'
+    r'(?:<([^>]*)>|"([^"\\]*)"(?:\^\^<([^>]*)>)?)'
+    r'[ \t]*\.[ \t]*'
+)
+
+
 def load_lines(graph: Graph, source) -> int:
     """Load the line format into a graph; returns the number of new triples.
 
-    `source` is a string or an iterable of lines. Raises LineFormatError with
-    the position of the first bad line.
+    `source` is a string or an iterable of lines. A string is split where a
+    text-mode file would be: at `\\n`, `\\r\\n` and `\\r`. Raises
+    LineFormatError with the position of the first bad line.
 
     Equal terms are built once per call and shared by every triple that uses
-    them, so the indexes hold one object per distinct term. The table lives
+    them, so the indexes hold one object per distinct term. The tables live
     only for this call: later writes bring fresh terms of their own.
     """
     if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = (line.rstrip("\n") for line in source)
-    interned: dict[tuple, Term] = {}
+        source = io.StringIO(source, newline=None)
+    iris: dict[str, Term] = {}
+    plains: dict[str, Term] = {}
+    typeds: dict[tuple[str, str], Term] = {}
 
     def term(kind: str, lexical: str, datatype: Optional[str] = None) -> Term:
-        key = (kind, lexical, datatype)
-        found = interned.get(key)
+        if kind == IRI:
+            table, key = iris, lexical
+        elif kind == PLAIN_LITERAL:
+            table, key = plains, lexical
+        else:
+            table, key = typeds, (lexical, datatype)
+        found = table.get(key)
         if found is None:
-            found = interned[key] = Term(kind, lexical, datatype)
+            found = table[key] = Term(kind, lexical, datatype)
         return found
 
+    fullmatch = _LINE_RE.fullmatch
+    namespaces = graph.namespaces
+    add = graph._add
     added = 0
-    for line_no, raw in enumerate(lines, start=1):
-        if not raw.strip() or raw.startswith("#"):
-            continue
-        if graph.insert(_parse_line(raw, line_no, graph.namespaces, term)):
+    for line_no, raw in enumerate(source, start=1):
+        raw = raw.rstrip("\n")
+        match = fullmatch(raw)
+        if match is not None:
+            s, p, o, lexical, datatype = match.groups()
+            try:
+                s = iris.get(s) or term(IRI, s)
+                p = iris.get(p) or term(IRI, p)
+                if o is not None:
+                    o = iris.get(o) or term(IRI, o)
+                elif datatype is None:
+                    o = plains.get(lexical) or term(PLAIN_LITERAL, lexical)
+                else:
+                    o = typeds.get((lexical, datatype)) or term(TYPED_LITERAL, lexical, datatype)
+            except TermError:
+                match = None
+        if match is None:
+            if not raw.strip() or raw.startswith("#"):
+                continue
+            t = _parse_line(raw, line_no, namespaces, term)
+            s, p, o = t.subject, t.predicate, t.object
+        if add(s, p, o):
             added += 1
     return added
 

@@ -1,13 +1,14 @@
 import csv
 import gc
 import json
+import re
 from importlib import resources
 
 import pytest
 
 from trustgate.cli import main
 from trustgate.middleware import MiddlewareHTTPServer
-from trustgate.ontology import vocabulary_text
+from trustgate.ontology import bootstrap_vocabulary, vocabulary_text
 from trustgate.store import Graph, SYN_NS, load_lines
 
 
@@ -101,7 +102,7 @@ class TestTrustShow:
 
 
 class TestServe:
-    def test_serve_freezes_the_loaded_heap_before_serving(self, dataset, tmp_path, monkeypatch):
+    def test_serve_freezes_the_loaded_heap_before_serving(self, dataset, tmp_path, monkeypatch, capsys):
         frozen_at_serve = []
 
         def serve_forever(server, poll_interval=0.5):
@@ -119,6 +120,15 @@ class TestServe:
         finally:
             gc.unfreeze()
         assert frozen_at_serve and frozen_at_serve[0] > 0
+        graph = Graph()
+        bootstrap_vocabulary(graph)
+        with open(dataset) as handle:
+            load_lines(graph, handle)
+        started = re.fullmatch(
+            r"listening on http://127\.0\.0\.1:\d+ with (\d+) triples \(loaded in \d+\.\d\d s\)\n",
+            capsys.readouterr().err,
+        )
+        assert started and int(started.group(1)) == len(graph)
 
 
 class TestBenchCli:

@@ -2,7 +2,7 @@ import json
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from trustgate.store import (
     DUA_NS,
@@ -21,6 +21,7 @@ from trustgate.store import (
     Triple,
     TriplePattern,
     Var,
+    _parse_line,
     iri,
     json_term,
     load_lines,
@@ -350,10 +351,11 @@ class TestLineFormat:
                     assert all(seen[third] is third for third in leaf_members(leaf))
 
 
-# quotes, backslashes, control characters, non-ASCII text and lone
-# surrogates, beside arbitrary code points
+# quotes, backslashes, control characters (among them every one that
+# `str.splitlines` breaks at), non-ASCII text and lone surrogates, beside
+# arbitrary code points
 _json_chars = st.one_of(
-    st.sampled_from('"\\\n\r\t\x00\x1f\x7f\u2028é漢😀\ud800\udfff'),
+    st.sampled_from('"\\\n\r\t\x00\x0b\x0c\x1c\x1d\x1e\x1f\x7f\x85\u2028\u2029é漢😀\ud800\udfff'),
     st.characters(exclude_categories=()),
 )
 _json_texts = st.text(_json_chars, max_size=20)
@@ -385,6 +387,112 @@ class TestJsonTerm:
         for trip in g:
             for term in (trip.subject, trip.predicate, trip.object):
                 assert not hasattr(term, "_json")
+
+
+class TestLineSplitting:
+    @settings(max_examples=200, deadline=None)
+    @given(_json_texts)
+    @example("a\x85b")
+    @example("a\u2028b\x0b\x0c\x1c\x1d\x1e\u2029")
+    def test_any_literal_text_round_trips_from_a_string_and_a_file(self, tmp_path_factory, text):
+        g = Graph()
+        g.add_all([
+            Triple(iri("s:a"), iri("p:p"), plain(text)),
+            Triple(iri("s:a"), iri("p:q"), typed(text, "dt:x")),
+        ])
+        lines = serialize_lines(g)
+        from_string = Graph()
+        load_lines(from_string, lines)
+        path = tmp_path_factory.mktemp("lines") / "data.lines"
+        path.write_text(lines, encoding="utf-8", errors="surrogatepass")
+        from_file = Graph()
+        with open(path, encoding="utf-8", errors="surrogatepass") as handle:
+            load_lines(from_file, handle)
+        assert from_string.triples() == from_file.triples() == g.triples()
+
+    def test_a_string_splits_at_crlf_and_cr_as_a_file_does(self):
+        g = Graph()
+        assert load_lines(g, '<s:a> <p:p> "x" .\r\n<s:a> <p:p> "y" .\r<s:a> <p:p> "z" .') == 3
+
+
+# Fragments of lines for comparing `load_lines` with the scanner alone. A
+# line is leading whitespace, subject, separator, predicate, separator,
+# object, datatype and terminator; each slot takes a well-formed fragment,
+# except the one or two slots drawn as faults, which take a malformed one.
+# Some well-formed fragments still make a bad line together, such as a
+# datatype after an IRI object, or "inf" typed as xsd:float.
+_GOOD_RESOURCES = ["<s:a>", "<http://example.org/contact-tracing#a>", "<p:p>", "syn:a", "rdf:type"]
+_BAD_RESOURCES = ["<>", "<a b>", "<a\tb>", "<a\u2028b>", "<s:unclosed", "bogus:a", ":a", "plain", "?a"]
+_GOOD_LITERALS = [
+    '"x"', '""', '"a b"', '"0.5"', '"-1e3"', '"NaN"', '"inf"', '"abc"', '"tab\there"', '"a\x85b"',
+    '"say \\"hi\\""', '"two\\nlines"', '"back\\\\slash"', '"\\""', '"\\t\\r"',
+]
+_BAD_LITERALS = ['"bad \\q"', '"dangling \\', '"unterminated', '"x"y"']
+_SLOTS = {
+    "lead": (["", " ", "\t "], ["\x0b", "\xa0"]),
+    "subject": (_GOOD_RESOURCES, _BAD_RESOURCES + ['"x"']),
+    "gap1": (["", " ", "\t", " \t  "], ["\x0b", "\x0c", "\xa0", "\u2003"]),
+    "predicate": (_GOOD_RESOURCES, _BAD_RESOURCES + ['"x"']),
+    "gap2": (["", " ", "\t", " \t  "], ["\x0b", "\x0c", "\xa0", "\u2003"]),
+    "object": (_GOOD_RESOURCES + _GOOD_LITERALS, _BAD_RESOURCES + _BAD_LITERALS),
+    "datatype": (
+        ["", "", "^^<dt:x>", "^^<" + XSD_FLOAT + ">", "^^xsd:float"],
+        [" ^^<dt:x>", "^^ <dt:x>", "\t^^<dt:x>", "^^", "^^<>", "^^<a b>", "^^bogus:x", "^^<dt:unclosed"],
+    ),
+    "end": ([".", " .", "\t.\t", ". "], ["", "..", ". .", ". x", ".x", ". # c", " ,", "\r", ".\x0b"]),
+}
+
+
+@st.composite
+def _lines(draw):
+    faults = draw(st.sets(st.sampled_from(sorted(_SLOTS)), max_size=2))
+    return "".join(
+        draw(st.sampled_from(bad if slot in faults else good))
+        for slot, (good, bad) in _SLOTS.items()
+    )
+
+
+def _outcome(parse):
+    try:
+        trip = parse()
+    except LineFormatError as exc:
+        return ("error", exc.line, exc.column, str(exc))
+    terms = (trip.subject, trip.predicate, trip.object)
+    return tuple((term.kind, term.lexical, term.datatype) for term in terms)
+
+
+def _load_one(raw):
+    g = Graph()
+    assert load_lines(g, [raw]) == 1
+    [trip] = list(g)
+    return trip
+
+
+class TestParsePaths:
+    @settings(max_examples=1000, deadline=None)
+    @given(_lines())
+    @example('<s:a> <p:p> "x" ^^<dt:x> .')
+    @example("<a b> <p:p> <o:o> .")
+    @example('<s:a> <p:p> "two\\nlines" .')
+    @example("<s:a>\x0b<p:p> <o:o> .")
+    def test_loading_a_line_agrees_with_the_scanner(self, raw):
+        namespaces = Graph().namespaces
+        expected = _outcome(lambda: _parse_line(raw, 1, namespaces, Term))
+        assert _outcome(lambda: _load_one(raw)) == expected
+
+    def test_prefixed_and_absolute_forms_share_one_term(self):
+        g = Graph()
+        load_lines(g, (
+            "syn:a rdf:type syn:Organization .\n"
+            f'<{SYN_NS}a> <{RDFS_NS}label> "a" .\n'
+            f"<{SYN_NS}b> <{RDF_NS}type> <{SYN_NS}Organization> .\n"
+            'syn:b rdfs:label "a" .\n'
+        ))
+        (a, type_, org), (b, type_again, org_again) = g.iter_terms(None, RDF_TYPE, None)
+        (a_again, label, text), (b_again, label_again, text_again) = g.iter_terms(None, RDFS_LABEL, None)
+        assert a is a_again and b is b_again
+        assert type_ is type_again and org is org_again
+        assert label is label_again and text is text_again
 
 
 class TestIdentityEquality:
