@@ -23,7 +23,6 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from decimal import Decimal
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from operator import attrgetter
 from typing import Iterable, Optional
 from urllib.parse import unquote, urlparse
 
@@ -246,15 +245,12 @@ class DataResponse:
         return json.loads(self.to_json())
 
 
-_MEMO_JSON = attrgetter("_json")
-
-
 def _row_texts(records: BindingSet) -> list[str]:
     """Each row's JSON array contents: its terms' texts joined by ", "."""
     column = records.column
     if column is not None:
         try:
-            return list(map(_MEMO_JSON, column))
+            return [term._json for term in column]
         except AttributeError:  # some term has no memoized text yet
             return list(map(json_term, column))
     return [", ".join(map(json_term, row)) for row in records.rows]
@@ -752,7 +748,8 @@ class _Handler(BaseHTTPRequestHandler):
         except RequestTooLargeError as exc:
             self._reply(413, {"error": str(exc)})
             return
-        except (ValueError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
+            # JSONDecodeError is a ValueError; deep nesting exhausts the decoder's stack
             self._reply(400, {"error": f"bad request body: {exc}"})
             return
         if not isinstance(body, dict):

@@ -711,9 +711,10 @@ def _column(ast: QueryAst, graph: Graph, plan, name: str, single) -> list[Term]:
         (slot,), (s, p, o) = single
         if slot == 0 and p is not None and o is not None:
             # subjects are IRIs (Triple enforces it), so the lexical form
-            # alone gives the full sort key's order
+            # alone gives the full sort key's order, which most leaves keep
             column = list(graph.subjects_for(p, o))
-            column.sort(key=_LEXICAL)
+            if not graph.subjects_sorted(p, o):
+                column.sort(key=_LEXICAL)
             return column
         column = list(map(itemgetter(slot), graph.iter_terms(s, p, o)))
     if set(map(_KIND, column)) <= {IRI}:

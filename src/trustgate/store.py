@@ -248,12 +248,19 @@ class Graph:
     per predicate and a one-entry dict costs about 220 bytes. Passive with
     respect to locking: callers enforce the many-readers / one-writer
     contract.
+
+    `_unsorted` holds the `(p, o)` key of every POS dict leaf whose subjects
+    may be out of lexical order; a dict leaf whose key is absent iterates in
+    lexical order. An insert adds the key when its subject sorts below the
+    leaf's last one; a removal keeps a leaf's order and drops the key when
+    the leaf shrinks to a bare term, so every key names a live dict leaf.
     """
 
     def __init__(self, namespaces: Optional[dict] = None):
         self._size = 0
         self._spo: dict[Term, dict[Term, Term | dict[Term, None]]] = {}
         self._pos: dict[Term, dict[Term, Term | dict[Term, None]]] = {}
+        self._unsorted: set[tuple[Term, Term]] = set()
         self.namespaces = dict(DEFAULT_NAMESPACES)
         if namespaces:
             self.namespaces.update(namespaces)
@@ -284,7 +291,23 @@ class Graph:
         """`insert` for terms a `Triple` would accept: IRIs `s` and `p`."""
         if not _link(self._spo, s, p, o):
             return False
-        _link(self._pos, p, o, s)
+        # the triple is new, so s is not yet under (p, o); the POS link is
+        # spelled out here to note a subject that arrives out of order
+        second = self._pos.get(p)
+        if second is None:
+            self._pos[p] = {o: s}
+        else:
+            leaf = second.get(o)
+            if leaf is None:
+                second[o] = s
+            elif type(leaf) is dict:
+                if s.lexical < next(reversed(leaf)).lexical:
+                    self._unsorted.add((p, o))
+                leaf[s] = None
+            else:
+                if s.lexical < leaf.lexical:
+                    self._unsorted.add((p, o))
+                second[o] = {leaf: None, s: None}
         self._size += 1
         self.version += 1
         self._pred_versions[p] = self._pred_versions.get(p, 0) + 1
@@ -296,7 +319,8 @@ class Graph:
             return False
         s, p, o = t.subject, t.predicate, t.object
         _unlink(self._spo, s, p, o)
-        _unlink(self._pos, p, o, s)
+        if _unlink(self._pos, p, o, s) and self._unsorted:
+            self._unsorted.discard((p, o))
         self._size -= 1
         self.version += 1
         self._pred_versions[p] = self._pred_versions.get(p, 0) + 1
@@ -337,6 +361,11 @@ class Graph:
             return ()
         leaf = inner.get(o)
         return () if leaf is None else _members(leaf)
+
+    def subjects_sorted(self, p: Term, o: Term) -> bool:
+        """True when `subjects_for(p, o)` iterates in lexical order, which
+        for subjects, all IRIs, is `Term.sort_key` order."""
+        return not self._unsorted or (p, o) not in self._unsorted
 
     def predicate_version(self, p: Term) -> int:
         """Mutation counter for one predicate; a query whose patterns all
@@ -396,25 +425,6 @@ class Graph:
                     elif o in _members(objs):
                         yield (subj, pred, o)
 
-    def match(self, pattern: TriplePattern) -> list[Triple]:
-        """Triples unifying with the pattern, in canonical sorted order.
-
-        Variables (and None positions) are wildcards; repeated variables
-        within the pattern must bind the same term.
-        """
-        nodes = pattern.positions() if isinstance(pattern, TriplePattern) else pattern
-        lookup = []
-        for node in nodes:
-            lookup.append(node if isinstance(node, Term) else None)
-        repeats = _repeated_positions(nodes)
-        out = []
-        for s, p, o in self.iter_terms(*lookup):
-            if repeats and not _repeats_ok((s, p, o), repeats):
-                continue
-            out.append(Triple(s, p, o))
-        out.sort(key=Triple.sort_key)
-        return out
-
     def expand(self, qname: str) -> str:
         """Expand a prefix:local name against the registered namespaces."""
         prefix, _, local = qname.partition(":")
@@ -461,8 +471,9 @@ def _link(index: dict, a: Term, b: Term, c: Term) -> bool:
     return True
 
 
-def _unlink(index: dict, a: Term, b: Term, c: Term) -> None:
-    """Remove c, which must be present, from index[a][b]."""
+def _unlink(index: dict, a: Term, b: Term, c: Term) -> bool:
+    """Remove c, which must be present, from index[a][b]; True when that
+    leaf shrank from a dict to a bare term."""
     second = index[a]
     leaf = second[b]
     if type(leaf) is dict:
@@ -470,23 +481,12 @@ def _unlink(index: dict, a: Term, b: Term, c: Term) -> None:
         # a dict leaf holds two members or more, so one is left at least
         if len(leaf) == 1:
             second[b] = next(iter(leaf))
-        return
+            return True
+        return False
     del second[b]
     if not second:
         del index[a]
-
-
-def _repeated_positions(nodes) -> list[tuple[int, int]]:
-    pairs = []
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if isinstance(nodes[i], Var) and isinstance(nodes[j], Var) and nodes[i].name == nodes[j].name:
-                pairs.append((i, j))
-    return pairs
-
-
-def _repeats_ok(terms, repeats) -> bool:
-    return all(terms[i] == terms[j] for i, j in repeats)
+    return False
 
 
 def _is_local_name(local: str) -> bool:

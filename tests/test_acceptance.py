@@ -52,6 +52,8 @@ from trustgate.trust import (
     canonical_score,
 )
 
+from graph_match import match
+
 XSD_FLOAT = "http://www.w3.org/2001/XMLSchema#float"
 PATIENT = SYN_NS + "Patient"
 SYMPTOM = SYN_NS + "Symptom"
@@ -116,7 +118,7 @@ def test_c1_policy_fidelity():
         summary = eval_update(parse(SCORE_UPDATE_POLICY), graph)
         assert (summary.deleted, summary.inserted) == (1, 1)
         subject = iri(manifest.users[3].iri)  # carries the targeted label
-        scores = graph.match(TriplePattern(subject, vocab.BEHAVIOR_TRUST, Var("v")))
+        scores = match(graph, TriplePattern(subject, vocab.BEHAVIOR_TRUST, Var("v")))
         assert [t.object for t in scores] == [typed("0.9", XSD_FLOAT)]
 
         elapsed = time.perf_counter() - started
@@ -126,15 +128,15 @@ def test_c1_policy_fidelity():
 def test_c2_demographics_exactness():
     with criterion("C2 demographics-exactness"):
         graph, manifest = fresh_demographics()
-        orgs = graph.match(TriplePattern(Var("o"), vocab.RDF_TYPE, vocab.SYN_ORGANIZATION))
+        orgs = match(graph, TriplePattern(Var("o"), vocab.RDF_TYPE, vocab.SYN_ORGANIZATION))
         recipient_orgs = [t for t in orgs if t.subject.lexical != manifest.custodian_iri]
         assert len(recipient_orgs) == 10
-        users = graph.match(TriplePattern(Var("u"), vocab.RDF_TYPE, vocab.TST_USER))
+        users = match(graph, TriplePattern(Var("u"), vocab.RDF_TYPE, vocab.TST_USER))
         assert len(users) == 100
-        duas = graph.match(TriplePattern(Var("d"), vocab.RDF_TYPE, vocab.DUA_CLASS))
+        duas = match(graph, TriplePattern(Var("d"), vocab.RDF_TYPE, vocab.DUA_CLASS))
         assert len(duas) == 7
-        patient_duas = graph.match(
-            TriplePattern(Var("d"), vocab.REQUESTED_DATA, plain(PATIENT))
+        patient_duas = match(
+            graph, TriplePattern(Var("d"), vocab.REQUESTED_DATA, plain(PATIENT))
         )
         assert len(patient_duas) == 4
         public_health = [
@@ -143,8 +145,8 @@ def test_c2_demographics_exactness():
             if graph.contains_spo(t.subject, vocab.HAS_PERMITTED_USE, vocab.PUBLIC_HEALTH)
         ]
         assert len(public_health) == 2
-        all_public_health = graph.match(
-            TriplePattern(Var("d"), vocab.HAS_PERMITTED_USE, vocab.PUBLIC_HEALTH)
+        all_public_health = match(
+            graph, TriplePattern(Var("d"), vocab.HAS_PERMITTED_USE, vocab.PUBLIC_HEALTH)
         )
         assert len(all_public_health) == 2
 

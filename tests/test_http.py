@@ -156,6 +156,22 @@ class TestEndpoints:
         assert status == 400
         assert body["error"]
 
+    @pytest.mark.parametrize("path", ["/requests", "/peers/scores", "/admin/dua"])
+    @pytest.mark.parametrize("raw", [
+        b"[" * 100_000 + b"]" * 100_000,
+        b'{"a": ' + b"[" * 5_000 + b"]" * 5_000 + b"}",
+    ], ids=["array", "object"])
+    def test_deeply_nested_body_is_bad_request(self, server, path, raw):
+        # the decoder gives up on deep nesting with a RecursionError
+        request = urllib.request.Request(
+            server.url + path, data=raw, method="POST",
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as caught:
+            urllib.request.urlopen(request, timeout=5)
+        assert caught.value.code == 400
+        assert json.loads(caught.value.read())["error"].startswith("bad request body")
+
     @pytest.mark.parametrize("bad", [
         {"value": "abc"},
         {"value": "7"},

@@ -29,6 +29,8 @@ from trustgate.store import XSD_FLOAT, Graph, SYN_NS, Triple, iri, plain, serial
 from trustgate.synth import GeneratorSpec, demographics_manifest, generate_dataset
 from trustgate.trust import PenaltyConfig, UnknownPrincipalError
 
+from graph_match import match
+
 PUBLIC_HEALTH = vocab.PUBLIC_HEALTH.lexical
 IRB = vocab.IRB_APPROVED_RESEARCH.lexical
 HCO = vocab.HEALTH_CARE_OPERATION.lexical
@@ -178,8 +180,8 @@ class TestExchangeCycle:
 
         request = service.build_request(user(demo_manifest, 7), PATIENT, PUBLIC_HEALTH)
         service.handle_request(request)
-        got = service.graph.match(
-            TriplePattern(iri(user(demo_manifest, 7)), vocab.BEHAVIOR_TRUST, Var("v"))
+        got = match(
+            service.graph, TriplePattern(iri(user(demo_manifest, 7)), vocab.BEHAVIOR_TRUST, Var("v"))
         )
         assert [t.object.lexical for t in got] == ["0.98"]
 

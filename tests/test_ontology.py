@@ -34,6 +34,8 @@ from trustgate.store import (
     typed,
 )
 
+from graph_match import match
+
 
 class TestBootstrap:
     def test_declarations_present(self):
@@ -50,7 +52,7 @@ class TestBootstrap:
     def test_exactly_three_permitted_use_individuals(self):
         g = Graph()
         bootstrap_vocabulary(g)
-        got = g.match(TriplePattern(Var("x"), RDF_TYPE, PERMITTED_USE_CLASS))
+        got = match(g, TriplePattern(Var("x"), RDF_TYPE, PERMITTED_USE_CLASS))
         assert len(got) == 3
         assert {t.subject for t in got} == set(PERMITTED_USE_INDIVIDUALS)
 
@@ -124,7 +126,7 @@ class TestDuaRoundTrip:
         g = Graph()
         record = sample_dua()
         write_dua(g, record)
-        got = g.match(TriplePattern(iri(record.iri), iri(DUA_NS + "requestedData"), Var("o")))
+        got = match(g, TriplePattern(iri(record.iri), iri(DUA_NS + "requestedData"), Var("o")))
         assert all(t.object.kind == "plain-literal" for t in got)
         assert {t.object.lexical for t in got} == set(record.requested_data)
 
@@ -135,8 +137,8 @@ class TestDuaRoundTrip:
         got = read_dua(g, SYN_NS + "dua_01")
         assert got.requested_data == frozenset({SYN_NS + "Encounter", SYN_NS + "Patient"})
         # no duplicated section nodes
-        terms_nodes = g.match(
-            TriplePattern(iri(SYN_NS + "dua_01"), iri(DUA_NS + "hasTermAndTermination"), Var("n"))
+        terms_nodes = match(
+            g, TriplePattern(iri(SYN_NS + "dua_01"), iri(DUA_NS + "hasTermAndTermination"), Var("n"))
         )
         assert len(terms_nodes) == 1
 

@@ -31,6 +31,8 @@ from trustgate.store import (
     typed,
 )
 
+from graph_match import match
+
 RDF_TYPE = iri(RDF_NS + "type")
 RDFS_LABEL = iri(RDFS_NS + "label")
 
@@ -126,14 +128,14 @@ class TestInsertRemove:
         g.insert(trip)
         assert g.remove(trip) is True
         assert len(g) == 0
-        assert g.match(TriplePattern(Var("s"), Var("p"), Var("o"))) == []
+        assert match(g, TriplePattern(Var("s"), Var("p"), Var("o"))) == []
 
     def test_agreement_scenario_fixture_bulk_insert(self):
         g = Graph()
         assert g.add_all(agreement_scenario_fixture()) == 12
         assert len(g) == 12
         pattern = TriplePattern(Var("x"), RDF_TYPE, iri(DUA_NS + "DataUsageAgreement"))
-        assert len(g.match(pattern)) == 1
+        assert len(match(g, pattern)) == 1
 
     def test_score_triple_removal_clears_match(self):
         # 3-triple fixture replaying the delete half of a score update by hand
@@ -144,7 +146,7 @@ class TestInsertRemove:
         g.insert(Triple(user, RDFS_LABEL, plain("research_scientist_731")))
         g.insert(score)
         assert g.remove(score) is True
-        assert g.match(TriplePattern(user, iri(TST_NS + "behaviorTrust"), typed("1.0", XSD_FLOAT))) == []
+        assert match(g, TriplePattern(user, iri(TST_NS + "behaviorTrust"), typed("1.0", XSD_FLOAT))) == []
 
 
 class TestMatch:
@@ -152,21 +154,21 @@ class TestMatch:
         g = Graph()
         for i in range(5):
             g.insert(t(f"s:{i}", "p:p", f"o:{i}"))
-        assert len(g.match(TriplePattern(Var("s"), Var("p"), Var("o")))) == 5
+        assert len(match(g, TriplePattern(Var("s"), Var("p"), Var("o")))) == 5
 
     def test_ground_pattern_is_membership(self):
         g = Graph()
         trip = t("s:a", "p:p", "o:b")
         g.insert(trip)
-        assert g.match(TriplePattern(trip.subject, trip.predicate, trip.object)) == [trip]
-        assert g.match(TriplePattern(trip.subject, trip.predicate, iri("o:c"))) == []
+        assert match(g, TriplePattern(trip.subject, trip.predicate, trip.object)) == [trip]
+        assert match(g, TriplePattern(trip.subject, trip.predicate, iri("o:c"))) == []
 
     def test_match_order_is_sorted(self):
         g = Graph()
         g.insert(t("s:b", "p:p", "o:1"))
         g.insert(t("s:a", "p:p", "o:1"))
         g.insert(t("s:a", "p:p", "o:0"))
-        got = g.match(TriplePattern(Var("s"), iri("p:p"), Var("o")))
+        got = match(g, TriplePattern(Var("s"), iri("p:p"), Var("o")))
         assert got == sorted(got, key=Triple.sort_key)
         assert got[0].subject.lexical == "s:a"
 
@@ -174,14 +176,14 @@ class TestMatch:
         g = Graph()
         g.insert(t("s:a", "p:p", "s:a"))
         g.insert(t("s:a", "p:p", "s:b"))
-        got = g.match(TriplePattern(Var("x"), iri("p:p"), Var("x")))
+        got = match(g, TriplePattern(Var("x"), iri("p:p"), Var("x")))
         assert len(got) == 1
         assert got[0].object.lexical == "s:a"
 
     def test_literal_in_subject_position_matches_nothing(self):
         g = Graph()
         g.insert(t("s:a", "p:p", "o:b"))
-        assert g.match(TriplePattern(plain("s:a"), Var("p"), Var("o"))) == []
+        assert match(g, TriplePattern(plain("s:a"), Var("p"), Var("o"))) == []
 
 
 def brute_force_match(triples, pattern):
@@ -227,7 +229,7 @@ class TestMatchProperties:
     def test_match_equals_brute_force(self, triples, pattern):
         g = Graph()
         g.add_all(triples)
-        assert g.match(pattern) == brute_force_match(set(triples), pattern)
+        assert match(g, pattern) == brute_force_match(set(triples), pattern)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(st.booleans(), _triples), max_size=60), _patterns())
@@ -243,10 +245,10 @@ class TestMatchProperties:
                 shadow.discard(trip)
             assert len(g) == len(shadow)
         universal = TriplePattern(Var("s"), Var("p"), Var("o"))
-        assert set(g.match(universal)) == shadow
+        assert set(match(g, universal)) == shadow
         # every pattern shape, the scanned (s, ?, o) and (?, ?, o) included,
         # still answers exactly after removals
-        assert g.match(pattern) == brute_force_match(shadow, pattern)
+        assert match(g, pattern) == brute_force_match(shadow, pattern)
         # iteration rebuilds triples from the indexes: each one exactly once
         listed = list(g)
         assert len(listed) == len(shadow) and set(listed) == shadow
@@ -574,9 +576,9 @@ class TestLeafForms:
         assert [s.lexical for s in g.subjects_for(p, o1)] == subjects
         for s, o in ((self.S1, self.O1), (self.S1, self.O2), (self.S2, self.O1)):
             assert g.contains_spo(iri(s), p, iri(o)) == ((s, self.P, o) in present)
-        assert g.match(TriplePattern(s1, p, Var("o"))) == sorted(
+        assert match(g, TriplePattern(s1, p, Var("o"))) == sorted(
             (t(self.S1, self.P, o) for o in objects), key=Triple.sort_key)
-        assert g.match(TriplePattern(Var("s"), p, o1)) == sorted(
+        assert match(g, TriplePattern(Var("s"), p, o1)) == sorted(
             (t(s, self.P, self.O1) for s in subjects), key=Triple.sort_key)
         scanned = [(a.lexical, b.lexical, c.lexical) for a, b, c in g.iter_terms(None, None, None)]
         assert scanned == [trip for s in subject_order for trip in present if trip[0] == s]

@@ -15,6 +15,8 @@ from trustgate.synth import (
     strip_properties,
 )
 
+from graph_match import match
+
 
 class TestSpec:
     def test_count_ordering_enforced(self):
@@ -34,14 +36,14 @@ class TestDemographics:
         spec = GeneratorSpec(seed=11)
         g = generate_demographics(spec)
         manifest = demographics_manifest(spec)
-        orgs = g.match(TriplePattern(Var("o"), vocab.RDF_TYPE, vocab.SYN_ORGANIZATION))
+        orgs = match(g, TriplePattern(Var("o"), vocab.RDF_TYPE, vocab.SYN_ORGANIZATION))
         assert len(orgs) == 11  # ten recipients plus the custodian
-        users = g.match(TriplePattern(Var("u"), vocab.RDF_TYPE, vocab.TST_USER))
+        users = match(g, TriplePattern(Var("u"), vocab.RDF_TYPE, vocab.TST_USER))
         assert len(users) == 100
-        duas = g.match(TriplePattern(Var("d"), vocab.RDF_TYPE, vocab.DUA_CLASS))
+        duas = match(g, TriplePattern(Var("d"), vocab.RDF_TYPE, vocab.DUA_CLASS))
         assert len(duas) == 7
-        recipients = g.match(
-            TriplePattern(Var("d"), vocab.HAS_RECIPIENT, Var("org"))
+        recipients = match(
+            g, TriplePattern(Var("d"), vocab.HAS_RECIPIENT, Var("org"))
         )
         assert len(recipients) == 7
         patient_duas = [
@@ -121,8 +123,8 @@ class TestPatients:
 
     def test_encounters_and_observations_one_per_patient(self):
         g = generate_patients(GeneratorSpec(seed=1, patient_count=40))
-        encounters = g.match(TriplePattern(Var("e"), vocab.RDF_TYPE, vocab.SYN_ENCOUNTER))
-        observations = g.match(TriplePattern(Var("o"), vocab.RDF_TYPE, vocab.SYN_OBSERVATION))
+        encounters = match(g, TriplePattern(Var("e"), vocab.RDF_TYPE, vocab.SYN_ENCOUNTER))
+        observations = match(g, TriplePattern(Var("o"), vocab.RDF_TYPE, vocab.SYN_OBSERVATION))
         assert len(encounters) == 40
         assert len(observations) == 40
 
@@ -141,7 +143,7 @@ class TestPatients:
 
         load_lines(ga, a)
         load_lines(gb, b)
-        count = lambda g: len(g.match(TriplePattern(Var("p"), vocab.RDF_TYPE, vocab.SYN_PATIENT)))
+        count = lambda g: len(match(g, TriplePattern(Var("p"), vocab.RDF_TYPE, vocab.SYN_PATIENT)))
         assert count(ga) == count(gb) == 50
 
     def test_roundtrip_through_line_format_at_1k(self):
@@ -169,19 +171,19 @@ class TestStripping:
         removed = strip_category(g, SYN_NS + "Encounter", manifest.custodian_iri)
         assert removed > 0
         assert (
-            g.match(
-                TriplePattern(
+            match(
+                g, TriplePattern(
                     iri(manifest.custodian_iri), vocab.HAS_DATA_CATEGORY, vocab.SYN_ENCOUNTER
                 )
             )
             == []
         )
-        assert g.match(TriplePattern(Var("e"), vocab.RDF_TYPE, vocab.SYN_ENCOUNTER)) == []
+        assert match(g, TriplePattern(Var("e"), vocab.RDF_TYPE, vocab.SYN_ENCOUNTER)) == []
 
     def test_strip_properties_keeps_instances(self):
         spec = GeneratorSpec(seed=7, patient_count=20)
         g = generate_dataset(spec, strip_property_categories=[SYN_NS + "Observation"])
-        observations = g.match(TriplePattern(Var("o"), vocab.RDF_TYPE, vocab.SYN_OBSERVATION))
+        observations = match(g, TriplePattern(Var("o"), vocab.RDF_TYPE, vocab.SYN_OBSERVATION))
         assert len(observations) == 20
         for t in observations:
             assert len(g.objects_for(t.subject, vocab.OBSERVATION_VALUE)) == 0

@@ -1,16 +1,18 @@
+import random
 from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from trustgate.ontology import (
+    BEHAVIOR_TRUST,
     ORGANIZATION,
     USER,
     DuaRecord,
     PrincipalRef,
     bootstrap_vocabulary,
 )
-from trustgate.store import SYN_NS, Graph, TriplePattern, Var, iri, typed, XSD_FLOAT
+from trustgate.store import SYN_NS, Graph, Triple, TriplePattern, Var, iri, typed, XSD_FLOAT
 from trustgate.trust import (
     BEHAVIOR,
     CREDIBILITY_SCORE,
@@ -31,6 +33,8 @@ from trustgate.trust import (
     assess,
     canonical_score,
 )
+
+from graph_match import match
 
 CUSTODIAN = SYN_NS + "org_custodian"
 ORG = SYN_NS + "org_01"
@@ -306,18 +310,46 @@ class TestGraphProjection:
         graph = Graph()
         registry = make_registry(graph)
         registry.penalize_user(ALICE, DUA_VIOLATION, PenaltyConfig())
-        got = graph.match(
-            TriplePattern(iri(ALICE), iri("http://example.org/trust#behaviorTrust"), Var("v"))
+        got = match(
+            graph, TriplePattern(iri(ALICE), iri("http://example.org/trust#behaviorTrust"), Var("v"))
         )
         assert [t.object for t in got] == [typed("0.99", XSD_FLOAT)]
 
     def test_users_have_no_credibility_triple(self):
         graph = Graph()
         make_registry(graph)
-        got = graph.match(
-            TriplePattern(iri(ALICE), iri("http://example.org/trust#credibility"), Var("v"))
+        got = match(
+            graph, TriplePattern(iri(ALICE), iri("http://example.org/trust#credibility"), Var("v"))
         )
         assert got == []
+
+    def test_score_churn_keeps_unsorted_keys_on_live_dict_leaves(self):
+        # users registered in reverse order join each score leaf out of
+        # lexical order; scores then move them between leaves, and dropped
+        # score triples are put back by touch_projection
+        graph = Graph()
+        registry = TrustRegistry(graph)
+        users = [SYN_NS + f"user_{i:03d}" for i in range(12, 0, -1)]
+        for user in users:
+            registry.register(PrincipalRef(iri=user, kind=USER, label=user))
+        rng = random.Random(5)
+        seen = 0
+        for version in range(2, 40):
+            for user in rng.sample(users, 4):
+                registry.apply_remote(user, BEHAVIOR, rng.choice(["0.7", "0.8", "0.9", "1.0"]), version)
+            subject = iri(rng.choice(users))
+            for obj in list(graph.objects_for(subject, BEHAVIOR_TRUST)):
+                graph.remove(Triple(subject, BEHAVIOR_TRUST, obj))
+            for user in users:
+                registry.touch_projection(user)
+            dict_leaves = {
+                (p, o) for p, inner in graph._pos.items()
+                for o, leaf in inner.items() if isinstance(leaf, dict)
+            }
+            # every key names a live dict leaf, so the set cannot outgrow them
+            assert graph._unsorted <= dict_leaves
+            seen = max(seen, len(graph._unsorted))
+        assert seen > 0
 
 
 _ops = st.lists(
