@@ -132,6 +132,7 @@ def _cmd_serve(args) -> int:
         pass
     finally:
         server.shutdown()
+        server.server_close()
         service.close()
     return 0
 

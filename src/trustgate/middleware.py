@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import json
 import logging
+import socket
 import threading
 import time
 import urllib.request
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from decimal import Decimal
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from typing import Iterable, Optional
 from urllib.parse import unquote, urlparse
 
@@ -685,18 +686,93 @@ class ExchangeMiddleware:
 # -- http server ---------------------------------------------------------------
 
 
-class MiddlewareHTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
+class MiddlewareHTTPServer(HTTPServer):
+    """The HTTP API. Its handler threads each block in `accept()` on the
+    listening socket and serve the connection they get, so no thread is
+    started per connection.
+
+    One thread always waits in `accept()`: a worker that takes the last
+    waiting slot starts another before it serves. A worker that finishes
+    while two others wait (the next acceptor and one spare) exits, so a
+    client that connects and stalls holds up only its own thread, and the
+    pool shrinks back after a burst.
+    """
+
     allow_reuse_address = True
 
     def __init__(self, address, service: ExchangeMiddleware):
         super().__init__(address, _Handler)
         self.service = service
+        self._pool = threading.Condition()
+        self._accepting = 0  # threads in accept(), or about to call it
+        self._stopping = False
 
     @property
     def url(self) -> str:
         host, port = self.server_address[:2]
         return f"http://{host}:{port}"
+
+    def serve_forever(self) -> None:
+        """Start the first worker and block until `shutdown`."""
+        with self._pool:
+            if self._stopping:
+                return
+            self._start_worker()
+            while not self._stopping:
+                self._pool.wait()
+
+    def shutdown(self) -> None:
+        """Stop accepting and return once no thread is in `accept()`.
+        Handlers still serving a connection finish on their own."""
+        with self._pool:
+            if not self._stopping:
+                self._stopping = True
+                # wakes every accept() with EINVAL, and fails each later one
+                self.socket.shutdown(socket.SHUT_RDWR)
+                self._pool.notify_all()
+            while self._accepting:
+                self._pool.wait()
+
+    def _start_worker(self) -> None:
+        threading.Thread(target=self._work, daemon=True).start()
+
+    def _work(self) -> None:
+        while True:
+            with self._pool:
+                if self._stopping or self._accepting > 1:
+                    return
+                self._accepting += 1
+            try:
+                request, address = self.socket.accept()
+            except OSError:
+                request = None
+            with self._pool:
+                self._accepting -= 1
+                if self._stopping:
+                    self._pool.notify_all()
+                waiting = self._accepting
+            if request is None:
+                continue
+            try:
+                if not waiting:
+                    self._start_worker()
+                self.finish_request(request, address)
+            except Exception:
+                self.handle_error(request, address)
+            finally:
+                self.shutdown_request(request)
+
+
+def _send_all(sock: socket.socket, buffers: list) -> None:
+    """Write the buffers in order with as few `sendmsg` calls as the socket
+    allows, slicing views rather than joining copies."""
+    views = [memoryview(b) for b in buffers]
+    while views:
+        sent = sock.sendmsg(views)
+        while views and sent >= len(views[0]):
+            sent -= len(views.pop(0))
+        if views:
+            views[0] = views[0][sent:]
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -712,8 +788,13 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        # the status line, headers and body leave in one write; an HTTP/0.9
+        # request gets the body alone
+        head = b""
+        if self.request_version != "HTTP/0.9":
+            head = b"".join(self._headers_buffer) + b"\r\n"
+            self._headers_buffer = []
+        _send_all(self.connection, [head, body])
 
     def _body(self) -> dict:
         length = int(self.headers.get("Content-Length") or 0)
@@ -726,9 +807,20 @@ class _Handler(BaseHTTPRequestHandler):
         raw = self.rfile.read(length) if length else b""
         return json.loads(raw or b"{}")
 
+    def _path(self) -> Optional[str]:
+        """The path of the request target, or None once a target that does
+        not parse has had its 400."""
+        try:
+            return urlparse(self.path).path
+        except ValueError as exc:  # e.g. an unclosed "[" in the host
+            self._reply(400, {"error": f"bad request target: {exc}"})
+            return None
+
     def do_GET(self):
         service = self.server.service
-        path = urlparse(self.path).path
+        path = self._path()
+        if path is None:
+            return
         if path == "/healthz":
             self._reply(200, {"status": "ok", "node": service.node_id})
         elif path.startswith("/trust/"):
@@ -742,7 +834,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self):
         service = self.server.service
-        path = urlparse(self.path).path
+        path = self._path()
+        if path is None:
+            return
         try:
             body = self._body()
         except RequestTooLargeError as exc:
@@ -778,8 +872,10 @@ class _Handler(BaseHTTPRequestHandler):
         except (RequestValidationError, PolicyError, OntologyError, TrustError, StoreError,
                 KeyError) as exc:
             self._reply(400, {"error": str(exc)})
-        except Exception as exc:  # pragma: no cover - last-resort guard
-            logger.exception("request failed")
+        except Exception as exc:  # last-resort guard
+            request_id = body.get("requestId")
+            logger.exception("request failed: POST %s, requestId %s", path,
+                             request_id if isinstance(request_id, str) else "-")
             self._reply(500, {"error": str(exc)})
 
     def _fill_request(self, body: dict) -> dict:

@@ -403,6 +403,7 @@ def test_c7_lockout_protocol():
             assert payload["decision"]["lockoutTriggered"] is False
         finally:
             server.shutdown()
+            server.server_close()
 
 
 def test_c8_convergence():

@@ -110,7 +110,6 @@ class TestServe:
             raise KeyboardInterrupt
 
         monkeypatch.setattr(MiddlewareHTTPServer, "serve_forever", serve_forever)
-        monkeypatch.setattr(MiddlewareHTTPServer, "shutdown", lambda server: None)
         gc.unfreeze()
         try:
             assert main([

@@ -1,19 +1,32 @@
+import dataclasses
 import gc
+import http.client as http_client
 import json
+import logging
+import re
 import socket
+import sys
+import threading
+import time
 import urllib.error
 import urllib.request
 from decimal import Decimal
 from urllib.parse import quote
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from trustgate import ontology as vocab
-from trustgate.middleware import MAX_BODY_BYTES, ExchangeMiddleware, start_server
+from trustgate.middleware import (
+    MAX_BODY_BYTES,
+    ExchangeMiddleware,
+    _Handler,
+    _send_all,
+    start_server,
+)
 from trustgate.ontology import bootstrap_vocabulary, read_dua
 from trustgate.store import Graph, SYN_NS, iri, serialize_term
-from trustgate.synth import generate_dataset
+from trustgate.synth import demographics_manifest, generate_dataset
 from trustgate.trust import BEHAVIOR, CREDIBILITY_SCORE, IDENTITY, PenaltyConfig
 
 PUBLIC_HEALTH = vocab.PUBLIC_HEALTH.lexical
@@ -41,6 +54,7 @@ def server(demo_graph):
     server = start_server(service)
     yield server
     server.shutdown()
+    server.server_close()
 
 
 def test_building_and_starting_a_service_freezes_nothing(demo_graph):
@@ -55,6 +69,7 @@ def test_building_and_starting_a_service_freezes_nothing(demo_graph):
         assert gc.get_freeze_count() == before
     finally:
         server.shutdown()
+        server.server_close()
 
 
 class TestEndpoints:
@@ -356,6 +371,296 @@ class TestEndpoints:
         assert self.raw_post_status(server, "1000000000") == b"413"
 
 
+def healthz_within(server, seconds: float) -> int:
+    """The status of `GET /healthz`, failing the test if it takes longer."""
+    started = time.monotonic()
+    request = urllib.request.Request(server.url + "/healthz")
+    with urllib.request.urlopen(request, timeout=seconds) as response:
+        status = response.status
+    assert time.monotonic() - started < seconds
+    return status
+
+
+def idle_clients(server, count: int) -> list[socket.socket]:
+    """Connections that never send a byte, each already taken by a worker."""
+    clients = [socket.create_connection(server.server_address[:2], timeout=3)
+               for _ in range(count)]
+    # a served request after them shows the server got past every one
+    assert healthz_within(server, 1.0) == 200
+    return clients
+
+
+def shutdown_within(server, seconds: float) -> None:
+    """Shut the server down, failing the test if that takes longer."""
+    stopper = threading.Thread(target=server.shutdown, daemon=True)
+    stopper.start()
+    stopper.join(timeout=seconds)
+    assert not stopper.is_alive()
+    server.server_close()
+
+
+def wait_until(predicate, seconds: float = 2.0) -> bool:
+    deadline = time.monotonic() + seconds
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+class TestWorkerPool:
+    """Handler threads accept their own connections: stalled clients hold
+    only their own thread, and shutdown waits for no handler."""
+
+    def test_idle_connections_do_not_hold_up_healthz(self, demo_graph):
+        before = set(threading.enumerate())
+        server = start_server(ExchangeMiddleware(demo_graph, node_id="node-pool"))
+        clients = idle_clients(server, 5)
+        try:
+            assert healthz_within(server, 1.0) == 200
+        finally:
+            for client in clients:
+                client.close()
+
+        def pool_size():
+            return len([t for t in threading.enumerate() if t not in before])
+
+        # once the stalled clients leave, their workers exit: what stays is
+        # the serve_forever thread, the next acceptor and one spare
+        assert wait_until(lambda: pool_size() <= 3), threading.enumerate()
+        server.shutdown()
+        server.server_close()
+
+    def test_concurrent_clients_leave_a_consistent_pool(self, demo_graph):
+        # more clients than cores, switching often: a lost update of the
+        # accepting count would hang shutdown or keep threads alive
+        before = set(threading.enumerate())
+        server = start_server(ExchangeMiddleware(demo_graph, node_id="node-pool"))
+        statuses = []
+
+        def client():
+            for _ in range(40):
+                statuses.append(http("GET", server.url + "/healthz")[0])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            clients = [threading.Thread(target=client) for _ in range(4)]
+            for client in clients:
+                client.start()
+            for client in clients:
+                client.join(timeout=20)
+        finally:
+            sys.setswitchinterval(interval)
+        assert statuses == [200] * 160
+        shutdown_within(server, 1.0)
+        pool = [t for t in threading.enumerate() if t not in before]
+        for thread in pool:
+            thread.join(timeout=1.0)
+        assert not [t for t in pool if t.is_alive()]
+
+    def test_shutdown_returns_while_a_client_idles(self, server):
+        clients = idle_clients(server, 1)
+        try:
+            shutdown_within(server, 1.0)
+        finally:
+            clients[0].close()
+
+    def test_shutdown_right_after_start_leaves_no_server_thread(self, demo_graph):
+        before = set(threading.enumerate())
+        server = start_server(ExchangeMiddleware(demo_graph, node_id="node-pool"))
+        server.shutdown()
+        server.server_close()
+        started = [t for t in threading.enumerate() if t not in before]
+        for thread in started:
+            thread.join(timeout=1.0)
+        assert not [t for t in started if t.is_alive()]
+
+    def test_failed_handlers_leave_the_pool_serving(self, server, demo_manifest, monkeypatch,
+                                                    caplog):
+        def fail(*args):
+            raise RuntimeError("decision exploded")
+
+        monkeypatch.setattr(server.service, "handle_request", fail)
+        monkeypatch.setattr(server.service, "receive_scores", fail)
+        request = {"user": demo_manifest.users[0].iri, "category": PATIENT,
+                   "purpose": PUBLIC_HEALTH}
+        with caplog.at_level(logging.ERROR, logger="trustgate.middleware"):
+            for n in range(5):
+                status, body = http("POST", server.url + "/requests",
+                                    {**request, "requestId": f"boom-{n}"})
+                assert (status, body) == (500, {"error": "decision exploded"})
+            # a requestId that is not a string is not echoed
+            status, _ = http("POST", server.url + "/peers/scores",
+                             {"updates": [], "requestId": ["x"]})
+            assert status == 500
+        messages = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert messages == [f"request failed: POST /requests, requestId boom-{n}"
+                            for n in range(5)] + ["request failed: POST /peers/scores, requestId -"]
+        assert healthz_within(server, 1.0) == 200
+        monkeypatch.undo()
+        status, body = http("POST", server.url + "/requests", request)
+        assert status == 200 and body["decision"]["granted"] is True
+
+    def test_a_handler_that_raises_out_leaves_the_pool_serving(self, server, monkeypatch):
+        def crash(handler):
+            raise RuntimeError("handler crashed")
+
+        monkeypatch.setattr(_Handler, "do_GET", crash)
+        for _ in range(5):
+            with pytest.raises((http_client.RemoteDisconnected, ConnectionError)):
+                urllib.request.urlopen(server.url + "/healthz", timeout=3)
+        monkeypatch.undo()
+        assert healthz_within(server, 1.0) == 200
+
+
+class _TrickleSocket:
+    """Takes at most `step` bytes per `sendmsg`, as a full send buffer does."""
+
+    def __init__(self, step: int):
+        self.step, self.received, self.calls = step, bytearray(), 0
+
+    def sendmsg(self, buffers):
+        self.calls += 1
+        taken = bytes(b"".join(bytes(b) for b in buffers)[:self.step])
+        self.received += taken
+        return len(taken)
+
+
+class TestReplyWrites:
+    @pytest.mark.parametrize("head, body", [
+        (b"HTTP/1.0 200 OK\r\n\r\n", bytes(range(256)) * 3),
+        (b"", b"{}"),  # an HTTP/0.9 reply has no head
+    ])
+    def test_send_all_resumes_after_partial_sends(self, head, body):
+        for step in (1, 7, len(head) or 1, len(head) + 1, 4096):
+            sock = _TrickleSocket(step)
+            _send_all(sock, [head, body])
+            assert bytes(sock.received) == head + body
+            assert sock.calls == -(-(len(head) + len(body)) // step)
+
+    def test_reply_larger_than_the_receive_buffer_arrives_whole(self, demo_spec):
+        spec = dataclasses.replace(demo_spec, patient_count=4000)
+        graph = Graph()
+        bootstrap_vocabulary(graph)
+        generate_dataset(spec, into=graph)
+        service = ExchangeMiddleware(graph, node_id="node-big")
+        sent = []
+        handle = service.handle_request
+        service.handle_request = lambda request: sent.append(handle(request)) or sent[-1]
+        server = start_server(service)
+        try:
+            user = demographics_manifest(spec).users[0].iri
+            payload = json.dumps({"user": user, "category": PATIENT,
+                                  "purpose": PUBLIC_HEALTH}).encode()
+            with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                sock.settimeout(10)
+                sock.connect(server.server_address[:2])
+                sock.sendall(b"POST /requests HTTP/1.0\r\nContent-Length: %d\r\n\r\n%s"
+                             % (len(payload), payload))
+                received = bytearray()
+                while chunk := sock.recv(512):
+                    received += chunk
+                    time.sleep(0.0002)
+                buffer_size = sock.getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF)
+        finally:
+            server.shutdown()
+            server.server_close()
+        head, _, body = bytes(received).partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.0 200 ")
+        assert len(body) > 10 * buffer_size
+        length = re.search(rb"\r\nContent-Length: (\d+)(?:\r\n|$)", head)
+        assert int(length.group(1)) == len(body)
+        assert sent[0].decision.granted
+        assert body.decode() == sent[0].to_json()
+
+
+_TOKEN = st.text(st.characters(min_codepoint=0x21, max_codepoint=0x7e), max_size=8)
+_HEADER_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"),
+                       max_size=12)
+
+
+@st.composite
+def _raw_requests(draw) -> tuple[bytes, str]:
+    """A request line, headers and a body, each possibly malformed or cut
+    short; returns the bytes and the method word."""
+    method = draw(st.sampled_from(["GET", "POST", "PUT", "get", ""]) | _TOKEN)
+    target = draw(st.sampled_from([
+        "/healthz", "/healthz?x=1", "//healthz", "/requests", "/peers/scores", "/admin/dua",
+        "/trust/x", "/trust/%ZZ", "/nope", "*", "http://[::1/healthz", "http://[/", "",
+    ]) | _TOKEN)
+    version = draw(st.sampled_from(["HTTP/1.0", "HTTP/1.1", "HTTP/2.0", "HTTP/1", "HTTP/a.b",
+                                    "HTTP/1.0 extra", ""]) | _TOKEN)
+    line = " ".join(word for word in (method, target, version) if word)
+    headers = draw(st.lists(st.tuples(
+        st.sampled_from(["Content-Length", "Content-Type", "Transfer-Encoding", "Host"])
+        | _TOKEN,
+        st.sampled_from(["0", "2", "-1", "abc", "99999999999", " 5", "chunked", ""])
+        | _HEADER_TEXT,
+    ), max_size=4))
+    body = draw(st.sampled_from([
+        b'{"user": "' + SYN_NS.encode() + b'user_001", "category": "' + PATIENT.encode()
+        + b'", "purpose": "' + PUBLIC_HEALTH.encode() + b'"}',
+        b'{"updates": [{"principal": "x", "score": "behavior"}]}',
+        b"[1, 2]",
+    ]) | st.binary(max_size=24))
+    # strictly shorter than what it was drawn from: never a whole valid body
+    body = body[:draw(st.integers(0, max(len(body) - 1, 0)))]
+    text = line + "\r\n" + "".join(f"{name}: {value}\r\n" for name, value in headers)
+    raw = text.encode("utf-8") + draw(st.sampled_from([b"\r\n", b""])) + body
+    return raw, method
+
+
+class TestRawRequests:
+    """Arbitrary request bytes on a raw socket that is then half-closed:
+    the parser answers 4xx, a valid `/healthz` gets 200, and nothing hangs
+    or fails the server."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(drawn=_raw_requests())
+    # an unclosed IPv6 bracket made urlparse raise, and the connection
+    # closed with no reply
+    @example(drawn=(b"GET http://[/ HTTP/1.0\r\n\r\n", "GET"))
+    @example(drawn=(b"POST http://[::1/requests HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}", "POST"))
+    def test_raw_request_bytes_never_get_a_server_error(self, server, drawn):
+        raw, method = drawn
+        with socket.create_connection(server.server_address[:2], timeout=3) as sock:
+            sock.sendall(raw)
+            sock.shutdown(socket.SHUT_WR)
+            reply = bytearray()
+            try:
+                while chunk := sock.recv(65536):
+                    reply += chunk
+            except ConnectionResetError:
+                pass  # the server closed with part of the request unread
+        if not reply:
+            # only a request with no request line is closed without a reply
+            assert not raw.split(b"\n", 1)[0].split(), raw
+        else:
+            if reply.startswith(b"HTTP/"):
+                head, _, body = bytes(reply).partition(b"\r\n\r\n")
+                status = int(head.split()[1])
+            else:
+                # a request line with no version, or one the parser cannot
+                # read, is answered as HTTP/0.9: the body alone, which is
+                # the parser's error page or the GET handler's JSON
+                body = bytes(reply)
+                code = re.search(rb"Error code: (\d+)", body)
+                status = int(code.group(1)) if code else 200 if b'"status"' in body else 404
+            if status == 200:
+                assert json.loads(body) == {"status": "ok", "node": "node-http"}, raw
+            elif status >= 500:
+                # the parser's protocol answers: a method it has no handler
+                # for, or an HTTP major version above 1; never a failure
+                assert (status == 501 and method not in ("GET", "POST")
+                        or status == 505), (raw, reply)
+            else:
+                assert 400 <= status < 500, (raw, reply)
+        assert healthz_within(server, 1.0) == 200
+
+
 class TestPropagationOverHttp:
     def build_node(self, spec, node_id, peers=(), **kwargs):
         graph = Graph()
@@ -381,7 +686,9 @@ class TestPropagationOverHttp:
                 assert node.trust_record_dict(demo_manifest.users[7].iri)["scores"]["behavior"] == "0.98"
         finally:
             server_b.shutdown()
+            server_b.server_close()
             server_c.shutdown()
+            server_c.server_close()
 
     def test_one_peer_down_retains_for_retry(self, demo_spec, demo_manifest):
         node_b = self.build_node(demo_spec, "node-b")
@@ -400,6 +707,7 @@ class TestPropagationOverHttp:
             assert node_b.trust_record_dict(demo_manifest.users[7].iri)["scores"]["behavior"] == "0.98"
         finally:
             server_b.shutdown()
+            server_b.server_close()
 
     def test_backlog_over_the_body_cap_arrives_in_slices(self, demo_spec, demo_manifest):
         # in one POST this backlog would be refused with 413 on every call,
@@ -419,6 +727,7 @@ class TestPropagationOverHttp:
             results = node_a.propagate_scores()
         finally:
             server_b.shutdown()
+            server_b.server_close()
         assert results[server_b.url] == {"ok": True, "delivered": len(backlog)}
         assert node_a.pending_updates() == []
         for principal in (request.user.iri, request.user.affiliation):
@@ -458,6 +767,7 @@ class TestArbitraryFields:
         server = start_server(service)
         yield server, demo_manifest
         server.shutdown()
+        server.server_close()
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -522,6 +832,7 @@ class TestScoreBatches:
         server = start_server(service)
         yield server, demo_manifest
         server.shutdown()
+        server.server_close()
 
     @staticmethod
     def _updates(manifest):

@@ -676,6 +676,7 @@ class TestConcurrency:
             results = node_a.propagate_scores()
         finally:
             server_b.shutdown()
+            server_b.server_close()
         assert results[server_b.url]["ok"] is True
         assert node_a.pending_updates() == []
         touched = {update.principal for update in delivered}
