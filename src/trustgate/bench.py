@@ -13,7 +13,6 @@ import csv
 import gc
 import io
 import json
-import logging
 import random
 import resource
 from dataclasses import dataclass
@@ -34,8 +33,6 @@ from .trust import (
     PenaltyConfig,
     canonical_score,
 )
-
-logger = logging.getLogger(__name__)
 
 # CSV row labels for the four instrumented stages
 STAGE_LABELS = {
@@ -124,25 +121,17 @@ def _aggregate(samples: dict[str, list[float]]) -> dict[str, dict[str, float]]:
     return out
 
 
-def _build_service(spec: GeneratorSpec, **kwargs) -> ExchangeMiddleware:
-    graph = Graph()
-    bootstrap_vocabulary(graph)
-    generate_dataset(spec, into=graph)
-    return ExchangeMiddleware(graph, **kwargs)
-
-
 def run_latency(
     sizes: Iterable[int],
     transactions: int = 1000,
     seed: int = 1,
     warmup: int = 20,
-    datasets: Optional[dict[int, Graph]] = None,
 ) -> LatencyReport:
     """Time the four request-cycle stages over randomized clean requests.
 
     Requests are drawn from every (user, category, purpose) combination that
     passes all checks, so no scores mutate and no lockout can distort the
-    timings. Datasets are generated from the seed unless supplied.
+    timings. Datasets are generated from the seed.
     """
     sizes = tuple(sizes)
     stats: dict[int, dict[str, dict[str, float]]] = {}
@@ -151,16 +140,13 @@ def run_latency(
         # the previous size's service and last reply go, with the reference
         # cycles that still hold its graph, before this size's graph is
         # built, so this size's peak RSS does not include them
-        service = response = None
+        service = response = graph = None
         gc.collect()
         spec = GeneratorSpec(seed=seed, patient_count=size)
-        if datasets is not None and size in datasets:
-            graph = datasets[size]
-            service = ExchangeMiddleware(graph)
-        else:
-            if datasets is not None:
-                logger.warning("no dataset supplied for size %d; generating from seed", size)
-            service = _build_service(spec)
+        graph = Graph()
+        bootstrap_vocabulary(graph)
+        generate_dataset(spec, into=graph)
+        service = ExchangeMiddleware(graph)
         manifest = demographics_manifest(spec)
         pool = [
             service.build_request(user.iri, category, purpose)

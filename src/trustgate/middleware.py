@@ -153,7 +153,7 @@ class ScoreUpdate:
             score=score,
             value=value,
             version=version,
-            origin=data.get("origin", ""),
+            origin=_text(data, "origin", ""),
         )
 
 
@@ -616,7 +616,7 @@ class ExchangeMiddleware:
         """Rewrite the agreement for a locked pair and lift the lockout."""
         with self._lock.write():
             custodian, recipient = self.registry.rewrite_dua_reset(
-                record.custodian, record.recipient, record, self.graph
+                record.custodian, record.recipient, record
             )
             self._enqueue(self.registry.take_events())
             locked = self.registry.check_lockout(record.custodian, record.recipient)
@@ -780,6 +780,14 @@ class _Handler(BaseHTTPRequestHandler):
 
     def log_message(self, format, *args):
         logger.debug("http: " + format, *args)
+
+    def send_error(self, code, message=None, explain=None):
+        """The parser's refusals, as JSON like every other reply. A request
+        line it cannot read leaves `request_version` at HTTP/0.9, which
+        would drop the status line, so the reply is sent as this server's
+        version."""
+        self.request_version = self.protocol_version
+        self._reply(code, {"error": message or self.responses[code][0]})
 
     def _reply(self, status: int, payload) -> None:
         """Send `payload`, a dict to encode or a body already in JSON text."""

@@ -3,8 +3,8 @@ tracing), bootstrap of their declarations, and typed views of agreement
 individuals.
 
 The application schema's Data and Organization classes take precedence over
-the agreement and trust schemas' versions; the superseded IRIs are aliased to
-the application ones at bootstrap rather than declared twice.
+the agreement and trust schemas' versions, which the bootstrap does not
+declare.
 """
 
 from __future__ import annotations
@@ -125,14 +125,6 @@ CATEGORY_PROPERTY_GROUPS: dict[Term, tuple[Term, ...]] = {
     SYN_OBSERVATION: (OBSERVATION_VALUE,),
 }
 
-# superseded class IRIs resolve to the application schema's versions
-CLASS_ALIASES = {
-    iri(DUA_NS + "Organization"): SYN_ORGANIZATION,
-    iri(DUA_NS + "Data"): SYN_DATA,
-    iri(TST_NS + "Organization"): SYN_ORGANIZATION,
-    iri(TST_NS + "Data"): SYN_DATA,
-}
-
 _CLASSES = (
     DUA_CLASS,
     TERM_AND_TERMINATION,
@@ -178,11 +170,6 @@ class DuaIntegrityError(OntologyError):
     pass
 
 
-def resolve_class(term: Term) -> Term:
-    """Map superseded schema classes onto the application schema's classes."""
-    return CLASS_ALIASES.get(term, term)
-
-
 def declared_iris() -> frozenset[str]:
     """Every schema IRI the bootstrap declares; policies may only reference
     these within the three schema namespaces."""
@@ -203,16 +190,6 @@ def bootstrap_vocabulary(graph: Graph) -> int:
     for individual in PERMITTED_USE_INDIVIDUALS:
         added += graph.insert(Triple(individual, RDF_TYPE, PERMITTED_USE_CLASS))
     return added
-
-
-def vocabulary_text() -> str:
-    """The full vocabulary in the line format (the copy shipped in the repo
-    under data/vocabulary.lines is generated from this)."""
-    from .store import serialize_lines
-
-    graph = Graph()
-    bootstrap_vocabulary(graph)
-    return serialize_lines(graph)
 
 
 USER = "user"

@@ -160,21 +160,6 @@ def _check_label(value: str, name: str) -> str:
     return value
 
 
-def render_term(iri_value: str, graph: Graph) -> str:
-    compact = graph.compact(iri_value)
-    return compact if compact is not None else f"<{iri_value}>"
-
-
-def render_category(iri_value: str, graph: Graph) -> str:
-    # categories are written the way the policy texts write them: the
-    # (compacted) IRI tagged as a plain literal
-    return f"{render_term(iri_value, graph)}^^rdf:PlainLiteral"
-
-
-def render_category_list(iris: list[str], graph: Graph) -> str:
-    return ", ".join(f"STR({render_term(value, graph)})" for value in iris)
-
-
 def instantiate(template: PolicyTemplate, substitutions: dict[str, str]) -> str:
     """Fill every placeholder; unfilled or unknown placeholders are errors."""
     wanted = template.placeholders()
@@ -323,10 +308,6 @@ class PolicyEngine:
         # plus the request fields its placeholders take
         self._compiled: dict[tuple, _Compiled] = {}
 
-    def add_template(self, template: PolicyTemplate) -> None:
-        self.templates[template.id] = template
-        self._compiled.clear()
-
     def _custodian_label(self, custodian_iri: str) -> str:
         for value in self.graph.objects_for(iri(custodian_iri), vocab.RDFS_LABEL):
             return value.lexical
@@ -363,12 +344,14 @@ class PolicyEngine:
                 "userLabel": request.user.label,
                 "custodianLabel": self._custodian_label(request.custodian),
             }
+            # every IRI is written as <iri>; a category is tagged as a plain
+            # literal, the way the policy texts write it
             if "categoryIri" in wanted:
-                substitutions["categoryIri"] = render_category(request.category, self.graph)
+                substitutions["categoryIri"] = f"<{request.category}>^^rdf:PlainLiteral"
             if "purposeIri" in wanted:
-                substitutions["purposeIri"] = render_term(request.purpose, self.graph)
+                substitutions["purposeIri"] = f"<{request.purpose}>"
             if inventory:
-                substitutions["categoryList"] = render_category_list(list(inventory), self.graph)
+                substitutions["categoryList"] = ", ".join(f"STR(<{v}>)" for v in inventory)
             ast = parse(instantiate(template, substitutions))
             return _Compiled(ast, _dependencies(ast))
 

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Iterator, Optional
 
 from .store import (
     DEFAULT_NAMESPACES,
-    IRI,
     RDF_NS,
     Graph,
     Term,
@@ -39,7 +38,6 @@ _UNSUPPORTED = {
     "CONSTRUCT", "DESCRIBE", "LIMIT", "OFFSET", "ORDER", "GROUP", "HAVING",
     "DISTINCT", "REDUCED", "EXISTS", "BASE", "WITH", "USING", "LOAD", "CLEAR",
 }
-_KEYWORDS = {"PREFIX", "ASK", "SELECT", "WHERE", "DELETE", "INSERT", "FILTER", "STR", "IN"}
 
 
 class QueryError(Exception):
@@ -162,7 +160,6 @@ class FilterExpr:
 @dataclass
 class QueryAst:
     form: str
-    prefixes: dict[str, str] = field(default_factory=dict)
     bgp: list[TriplePattern] = field(default_factory=list)
     filters: list[FilterExpr] = field(default_factory=list)
     projection: Optional[list[str]] = None      # None = all bgp variables
@@ -205,12 +202,6 @@ class BindingSet:
     def __len__(self):
         return len(self._rows if self.column is None else self.column)
 
-    def as_dicts(self) -> list[dict[str, Term]]:
-        if self.column is None:
-            return [dict(zip(self.variables, row)) for row in self._rows]
-        (name,) = self.variables
-        return [{name: t} for t in self.column]
-
     def __eq__(self, other):
         return (
             isinstance(other, BindingSet)
@@ -232,13 +223,10 @@ class UpdateSummary:
 
 
 class _Parser:
-    def __init__(self, text: str, namespaces: Optional[dict] = None):
+    def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.namespaces = dict(DEFAULT_NAMESPACES)
-        if namespaces:
-            self.namespaces.update(namespaces)
-        self.declared: dict[str, str] = {}
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -262,35 +250,26 @@ class _Parser:
         tok = self.peek()
         return tok.kind == "WORD" and tok.value.upper() == word
 
-    def take_keyword(self) -> str:
-        tok = self.next()
-        word = tok.value.upper()
-        if word in _UNSUPPORTED:
-            raise UnsupportedFeatureError(word, tok.line, tok.column)
-        if word not in _KEYWORDS:
-            raise self.error(f"unexpected token {tok.value!r}", tok)
-        return word
-
     def parse(self) -> QueryAst:
-        prefixes = self.parse_prologue()
+        self.parse_prologue()
         tok = self.peek()
         if tok.kind != "WORD":
             raise self.error(f"expected a query form, got {tok.value!r}")
         word = tok.value.upper()
         if word == "ASK":
             self.next()
-            ast = QueryAst(form=ASK, prefixes=prefixes)
+            ast = QueryAst(form=ASK)
             ast.bgp, ast.filters = self.parse_group()
         elif word == "SELECT":
             self.next()
-            ast = QueryAst(form=SELECT, prefixes=prefixes)
+            ast = QueryAst(form=SELECT)
             ast.projection = self.parse_projection()
             if not self.at_keyword("WHERE"):
                 raise self.error("expected WHERE after SELECT clause")
             self.next()
             ast.bgp, ast.filters = self.parse_group()
         elif word in ("DELETE", "INSERT"):
-            ast = QueryAst(form=UPDATE, prefixes=prefixes)
+            ast = QueryAst(form=UPDATE)
             if self.at_keyword("DELETE"):
                 self.next()
                 ast.delete_template = self.parse_template()
@@ -311,8 +290,7 @@ class _Parser:
         self.validate(ast)
         return ast
 
-    def parse_prologue(self) -> dict[str, str]:
-        declared = {}
+    def parse_prologue(self) -> None:
         while self.at_keyword("PREFIX"):
             self.next()
             tok = self.next()
@@ -329,9 +307,7 @@ class _Parser:
             ref = self.next()
             if ref.kind != "IRIREF":
                 raise self.error("expected <iri> in prefix declaration", ref)
-            declared[name] = ref.value[1:-1]
             self.namespaces[name] = ref.value[1:-1]
-        return declared
 
     def parse_projection(self) -> Optional[list[str]]:
         tok = self.peek()
@@ -519,13 +495,13 @@ class _Parser:
                             )
 
 
-def parse(text: str, namespaces: Optional[dict] = None) -> QueryAst:
+def parse(text: str) -> QueryAst:
     """Parse a query string into a QueryAst.
 
     Raises ParseError with line/column, or UnsupportedFeatureError naming any
     construct outside the supported subset.
     """
-    return _Parser(text, namespaces).parse()
+    return _Parser(text).parse()
 
 
 # -- evaluator ---------------------------------------------------------------
@@ -539,9 +515,9 @@ def order_patterns(patterns: list[TriplePattern], graph: Graph) -> list[TriplePa
     Patterns whose remaining free variables are fewest go first; among those,
     prefer the smallest index-estimated candidate set. Positions holding
     already-bound variables count as ground but have no static estimate.
-    Reordering never changes results, only runtime, so callers re-evaluating
-    one query against a slowly-changing graph may compute the order once and
-    pass it to the eval functions.
+    Reordering never changes results, only runtime, so a caller that
+    re-evaluates one query against a slowly-changing graph may compile its
+    plan once and pass that to `eval_ask`.
     """
     entries = []
     for idx, pattern in enumerate(patterns):
@@ -589,14 +565,11 @@ class _Step:
         self.filters: list[FilterExpr] = []
 
 
-def compile_plan(
-    ast: QueryAst, graph: Graph, order: Optional[list[TriplePattern]] = None
-) -> list[_Step]:
-    """Compile the (reordered) patterns into evaluation steps with filters
+def compile_plan(ast: QueryAst, graph: Graph) -> list[_Step]:
+    """Compile the reordered patterns into evaluation steps with filters
     attached at the earliest step that binds their variable. Plans stay valid
     across graph mutations; only their efficiency can go stale."""
-    patterns = order if order is not None else order_patterns(ast.bgp, graph)
-    steps = [_Step(pattern) for pattern in patterns]
+    steps = [_Step(pattern) for pattern in order_patterns(ast.bgp, graph)]
     bound: set[str] = set()
     pending = list(ast.filters)
     for step in steps:
@@ -678,75 +651,26 @@ def eval_ask(ast: QueryAst, graph: Graph, plan: Optional[list[_Step]] = None) ->
     return False
 
 
-def eval_select(ast: QueryAst, graph: Graph, plan: Optional[list[_Step]] = None) -> BindingSet:
-    """All solutions, projected and deterministically ordered."""
+def eval_select(ast: QueryAst, graph: Graph) -> BindingSet:
+    """All solutions, projected and ordered by `Term.sort_key`."""
     if ast.form != SELECT:
         raise EvalError(f"eval_select needs a SELECT query, got {ast.form}")
     names = ast.projection if ast.projection is not None else ast.bgp_variables()
     variables = tuple(names)
-    single = _single_pattern_lookup(ast, variables)
-    if len(variables) == 1:
-        return BindingSet(variables, column=_column(ast, graph, plan, variables[0], single))
-    if single is not None:
-        slots, lookup = single
-        rows = [tuple(terms[s] for s in slots) for terms in graph.iter_terms(*lookup)]
-    else:
-        rows = [
-            tuple(sol[name] for name in variables) for sol in _solutions(ast, graph, plan)
-        ]
-    rows.sort(key=lambda row: tuple(term.sort_key() for term in row))
-    return BindingSet(variables, rows)
-
-
-_LEXICAL = attrgetter("lexical")
-_KIND = attrgetter("kind")
-
-
-def _column(ast: QueryAst, graph: Graph, plan, name: str, single) -> list[Term]:
-    """One variable's values in order, built and sorted by C-level calls so
-    that no Python object is made per row."""
-    if single is None:
-        column = list(map(itemgetter(name), _solutions(ast, graph, plan)))
-    else:
-        (slot,), (s, p, o) = single
-        if slot == 0 and p is not None and o is not None:
-            # subjects are IRIs (Triple enforces it), so the lexical form
-            # alone gives the full sort key's order, which most leaves keep
+    if len(variables) == 1 and len(ast.bgp) == 1 and not ast.filters:
+        s, p, o = ast.bgp[0].positions()
+        if (isinstance(s, Var) and s.name == variables[0]
+                and isinstance(p, Term) and isinstance(o, Term)):
+            # retrieval's query: the subjects of a ground (p, o), all IRIs,
+            # so their lexical form alone gives the full key's order, which
+            # most leaves keep
             column = list(graph.subjects_for(p, o))
             if not graph.subjects_sorted(p, o):
-                column.sort(key=_LEXICAL)
-            return column
-        column = list(map(itemgetter(slot), graph.iter_terms(s, p, o)))
-    if set(map(_KIND, column)) <= {IRI}:
-        # IRIs share kind and datatype, so their lexical form alone gives
-        # the same order as the full sort key, several times faster
-        column.sort(key=_LEXICAL)
-    else:
-        column.sort(key=Term.sort_key)
-    return column
-
-
-def _single_pattern_lookup(ast: QueryAst, variables) -> Optional[tuple[list[int], list]]:
-    """The slots of `variables` and the index lookup for the common
-    one-pattern query, which bypasses the join machinery; None when the
-    shape does not apply."""
-    if len(ast.bgp) != 1 or ast.filters:
-        return None
-    pattern = ast.bgp[0]
-    names = pattern.variables()
-    if len(names) != len(set(names)):
-        return None
-    slot_of = {}
-    lookup = []
-    for slot, node in enumerate(pattern.positions()):
-        if isinstance(node, Var):
-            slot_of[node.name] = slot
-            lookup.append(None)
-        else:
-            lookup.append(node)
-    if any(name not in slot_of for name in variables):
-        return None
-    return [slot_of[name] for name in variables], lookup
+                column.sort(key=attrgetter("lexical"))
+            return BindingSet(variables, column=column)
+    rows = [tuple(sol[name] for name in variables) for sol in _solutions(ast, graph)]
+    rows.sort(key=lambda row: tuple(term.sort_key() for term in row))
+    return BindingSet(variables, rows)
 
 
 def _instantiate(pattern: TriplePattern, binding: dict) -> Triple:

@@ -105,9 +105,6 @@ class Term:
         self.datatype = datatype
         self._hash = hash((kind, lexical, datatype))
 
-    def is_iri(self) -> bool:
-        return self.kind == IRI
-
     def sort_key(self):
         return (self.lexical, self.kind, self.datatype or "")
 
@@ -239,7 +236,7 @@ class TriplePattern:
 
 
 class Graph:
-    """Set of triples with SPO and POS indexes and a prefix table.
+    """Set of triples with SPO and POS indexes.
 
     The two indexes are the only storage: no `Triple` object is kept, and
     iteration builds them from the SPO index. `_spo[s][p]` holds the objects
@@ -256,14 +253,11 @@ class Graph:
     the leaf shrinks to a bare term, so every key names a live dict leaf.
     """
 
-    def __init__(self, namespaces: Optional[dict] = None):
+    def __init__(self):
         self._size = 0
         self._spo: dict[Term, dict[Term, Term | dict[Term, None]]] = {}
         self._pos: dict[Term, dict[Term, Term | dict[Term, None]]] = {}
         self._unsorted: set[tuple[Term, Term]] = set()
-        self.namespaces = dict(DEFAULT_NAMESPACES)
-        if namespaces:
-            self.namespaces.update(namespaces)
         self.version = 0
         self._pred_versions: dict[Term, int] = {}
 
@@ -425,25 +419,6 @@ class Graph:
                     elif o in _members(objs):
                         yield (subj, pred, o)
 
-    def expand(self, qname: str) -> str:
-        """Expand a prefix:local name against the registered namespaces."""
-        prefix, _, local = qname.partition(":")
-        if prefix not in self.namespaces:
-            raise TermError(f"unknown prefix {prefix!r}")
-        return self.namespaces[prefix] + local
-
-    def compact(self, iri_value: str) -> Optional[str]:
-        """Compact an absolute IRI to prefix:local form, if a prefix fits."""
-        best = None
-        for prefix, ns in self.namespaces.items():
-            if iri_value.startswith(ns) and (best is None or len(ns) > len(best[1])):
-                local = iri_value[len(ns):]
-                if local and _is_local_name(local):
-                    best = (prefix, ns, local)
-        if best is None:
-            return None
-        return f"{best[0]}:{best[2]}"
-
 
 def _members(leaf):
     """An index leaf's members: the dict itself, or a bare term as a 1-tuple."""
@@ -489,18 +464,12 @@ def _unlink(index: dict, a: Term, b: Term, c: Term) -> bool:
     return False
 
 
-def _is_local_name(local: str) -> bool:
-    if not (local[0].isalpha() or local[0] == "_"):
-        return False
-    return all(c.isalnum() or c in "_-" for c in local)
-
-
 # -- line format ---------------------------------------------------------
 #
 # One triple per line: `<subject> <predicate> <object> .`
 # Objects are `<iri>`, `"lexical"`, or `"lexical"^^<datatype>`; subjects and
-# predicates may also be written as prefix:local names resolved against the
-# graph's namespace table. `#`-prefixed lines are comments.
+# predicates may also be written as prefix:local names resolved against
+# DEFAULT_NAMESPACES. `#`-prefixed lines are comments.
 #
 # `load_lines` has two paths. The regex path (`_LINE_RE`) takes a line of
 # absolute IRIs whose object is an IRI or a literal without escapes,
@@ -572,7 +541,7 @@ class _LineScanner:
                 chars.append(c)
                 i += 1
 
-    def take_qname_iri(self, namespaces: dict) -> str:
+    def take_qname_iri(self) -> str:
         start = self.pos
         while self.pos < len(self.text) and (
             self.text[self.pos].isalnum() or self.text[self.pos] in ":_-"
@@ -583,40 +552,40 @@ class _LineScanner:
             self.pos = start
             raise self.error(f"expected an IRI or prefixed name, got {token!r}")
         prefix, _, local = token.partition(":")
-        if prefix not in namespaces:
+        if prefix not in DEFAULT_NAMESPACES:
             self.pos = start
             raise self.error(f"unknown prefix {prefix!r}")
-        return namespaces[prefix] + local
+        return DEFAULT_NAMESPACES[prefix] + local
 
 
-def _parse_resource(scanner: _LineScanner, namespaces: dict) -> str:
+def _parse_resource(scanner: _LineScanner) -> str:
     if scanner.peek() == "<":
         return scanner.take_iri()
-    return scanner.take_qname_iri(namespaces)
+    return scanner.take_qname_iri()
 
 
-def _parse_object(scanner: _LineScanner, namespaces: dict, term) -> Term:
+def _parse_object(scanner: _LineScanner, term) -> Term:
     if scanner.peek() == '"':
         lexical = scanner.take_string()
         if scanner.text.startswith("^^", scanner.pos):
             scanner.pos += 2
-            datatype = _parse_resource(scanner, namespaces)
+            datatype = _parse_resource(scanner)
             return term(TYPED_LITERAL, lexical, datatype)
         return term(PLAIN_LITERAL, lexical)
-    return term(IRI, _parse_resource(scanner, namespaces))
+    return term(IRI, _parse_resource(scanner))
 
 
-def _parse_line(text: str, line_no: int, namespaces: dict, term) -> Triple:
+def _parse_line(text: str, line_no: int, term) -> Triple:
     """One line as a triple, with `term(kind, lexical[, datatype])` building
     each term; `LineFormatError` gives the line and column of a fault."""
     scanner = _LineScanner(text, line_no)
     scanner.skip_ws()
     try:
-        subject = term(IRI, _parse_resource(scanner, namespaces))
+        subject = term(IRI, _parse_resource(scanner))
         scanner.skip_ws()
-        predicate = term(IRI, _parse_resource(scanner, namespaces))
+        predicate = term(IRI, _parse_resource(scanner))
         scanner.skip_ws()
-        obj = _parse_object(scanner, namespaces, term)
+        obj = _parse_object(scanner, term)
     except TermError as exc:
         raise scanner.error(str(exc)) from None
     scanner.skip_ws()
@@ -667,7 +636,6 @@ def load_lines(graph: Graph, source) -> int:
         return found
 
     fullmatch = _LINE_RE.fullmatch
-    namespaces = graph.namespaces
     add = graph._add
     added = 0
     for line_no, raw in enumerate(source, start=1):
@@ -689,7 +657,7 @@ def load_lines(graph: Graph, source) -> int:
         if match is None:
             if not raw.strip() or raw.startswith("#"):
                 continue
-            t = _parse_line(raw, line_no, namespaces, term)
+            t = _parse_line(raw, line_no, term)
             s, p, o = t.subject, t.predicate, t.object
         if add(s, p, o):
             added += 1

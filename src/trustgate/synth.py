@@ -119,11 +119,6 @@ class DemographicsManifest:
     def users_of(self, org_iri: str) -> list[UserInfo]:
         return [u for u in self.users if u.org_iri == org_iri]
 
-    def custodian_ref(self) -> PrincipalRef:
-        return PrincipalRef(
-            iri=self.custodian_iri, kind=vocab.ORGANIZATION, label=self.custodian_label
-        )
-
     def clean_requests(self) -> list[tuple[UserInfo, str, str]]:
         """Every (user, category, purpose) combination that passes all checks
         against a complete dataset: category granted by the agreement and

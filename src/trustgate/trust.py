@@ -207,11 +207,11 @@ class TrustRegistry:
 
     The registry takes no lock: its owner serializes access, as
     `ExchangeMiddleware` does by making every mutation under its node lock's
-    write side. When constructed with a graph, every mutation refreshes that
-    principal's projected score triples.
+    write side. Every mutation refreshes that principal's projected score
+    triples in the graph.
     """
 
-    def __init__(self, graph: Optional[Graph] = None):
+    def __init__(self, graph: Graph):
         self._records: dict[str, TrustRecord] = {}
         self._graph = graph
         self._events: list[tuple[str, str, Decimal, int]] = []
@@ -332,8 +332,7 @@ class TrustRegistry:
                 self._commit(new)
 
     def rewrite_dua_reset(
-        self, custodian_iri: str, recipient_org_iri: str, new_dua: DuaRecord,
-        graph: Optional[Graph] = None,
+        self, custodian_iri: str, recipient_org_iri: str, new_dua: DuaRecord
     ) -> tuple[TrustRecord, TrustRecord]:
         """Clear a lockout by writing a fresh agreement for the pair.
 
@@ -351,20 +350,18 @@ class TrustRegistry:
                 "agreement does not bind the locked pair: "
                 f"{new_dua.custodian} -> {new_dua.recipient}"
             )
-        target = graph if graph is not None else self._graph
-        if target is None:
-            raise TrustError("no graph available to persist the agreement")
+        graph = self._graph
         subject = iri(new_dua.iri)
-        if target.contains_spo(subject, RDF_TYPE, DUA_CLASS):
-            custodians = set(target.objects_for(subject, HAS_DATA_CUSTODIAN))
-            recipients = set(target.objects_for(subject, HAS_RECIPIENT))
+        if graph.contains_spo(subject, RDF_TYPE, DUA_CLASS):
+            custodians = set(graph.objects_for(subject, HAS_DATA_CUSTODIAN))
+            recipients = set(graph.objects_for(subject, HAS_RECIPIENT))
             if (custodians, recipients) != ({iri(custodian_iri)}, {iri(recipient_org_iri)}):
                 raise DuaMismatchError(
                     f"{new_dua.iri} is not the agreement of the locked pair: "
                     f"it binds {sorted(t.lexical for t in custodians)} -> "
                     f"{sorted(t.lexical for t in recipients)}"
                 )
-        write_dua(target, new_dua)
+        write_dua(graph, new_dua)
         custodian = self.get(custodian_iri)
         if custodian.credibility is not None and custodian.credibility <= ZERO:
             custodian = replace(custodian, credibility=ONE, version=custodian.version + 1)
@@ -378,15 +375,14 @@ class TrustRegistry:
 
     # -- replication -------------------------------------------------------
 
-    def apply_remote(self, principal_iri: str, score_name: str, value, version: int,
-                     kind_hint: Optional[str] = None) -> bool:
+    def apply_remote(self, principal_iri: str, score_name: str, value, version: int) -> bool:
         """Apply a propagated score if its version is newer; stale or
         duplicate versions are ignored. Unknown principals are auto-registered.
         """
         score = as_score(value)
         record = self._records.get(principal_iri)
         if record is None:
-            kind = kind_hint or (USER if score_name == BEHAVIOR else ORGANIZATION)
+            kind = USER if score_name == BEHAVIOR else ORGANIZATION
             ref = PrincipalRef(iri=principal_iri, kind=kind)
             record = (
                 TrustRecord(ref, behavior=ONE, identity=ONE, credibility=None, version=0)
@@ -455,8 +451,6 @@ class TrustRegistry:
         self._refresh_projection(self.get(principal_iri))
 
     def _refresh_projection(self, record: TrustRecord) -> None:
-        if self._graph is None:
-            return
         graph = self._graph
         subject = self._subjects.get(record.principal.iri)
         if subject is None:

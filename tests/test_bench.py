@@ -56,23 +56,6 @@ class TestLatencyHarness:
         )
         assert total_staged <= elapsed
 
-    def test_supplied_datasets_used_and_missing_sizes_fall_back(self, caplog):
-        import logging
-
-        from trustgate.ontology import bootstrap_vocabulary
-        from trustgate.store import Graph
-        from trustgate.synth import GeneratorSpec, generate_dataset
-
-        graph = Graph()
-        bootstrap_vocabulary(graph)
-        generate_dataset(GeneratorSpec(seed=3, patient_count=40), into=graph)
-        with caplog.at_level(logging.WARNING, logger="trustgate.bench"):
-            report = run_latency(
-                sizes=[40, 80], transactions=3, seed=3, warmup=0, datasets={40: graph}
-            )
-        assert set(report.stats) == {40, 80}
-        assert any("no dataset supplied" in r.message for r in caplog.records)
-
 
 class TestTrajectoryHarness:
     def test_zero_probability_stays_flat(self):

@@ -8,8 +8,8 @@ import pytest
 
 from trustgate.cli import main
 from trustgate.middleware import MiddlewareHTTPServer
-from trustgate.ontology import bootstrap_vocabulary, vocabulary_text
-from trustgate.store import Graph, SYN_NS, load_lines
+from trustgate.ontology import bootstrap_vocabulary
+from trustgate.store import Graph, SYN_NS, load_lines, serialize_lines
 
 
 @pytest.fixture()
@@ -162,4 +162,6 @@ class TestBenchCli:
 class TestVocabularyFile:
     def test_shipped_file_matches_bootstrap(self):
         shipped = resources.files("trustgate").joinpath("data/vocabulary.lines").read_text()
-        assert shipped == vocabulary_text()
+        graph = Graph()
+        bootstrap_vocabulary(graph)
+        assert shipped == serialize_lines(graph)

@@ -197,6 +197,10 @@ class TestEndpoints:
         {"score": "karma"},
         {"principal": ""},
         {"principal": "has space"},
+        {"origin": 5},
+        {"origin": ["a"]},
+        {"origin": {"x": 1}},
+        {"origin": None},
     ])
     def test_bad_score_update_refuses_the_whole_batch(self, server, demo_manifest, bad):
         first = demo_manifest.users[3].iri
@@ -612,10 +616,40 @@ def _raw_requests(draw) -> tuple[bytes, str]:
     return raw, method
 
 
+def raw_reply(server, raw: bytes) -> bytes:
+    """Everything the server sends back for `raw`, written to a socket that
+    is then half-closed."""
+    with socket.create_connection(server.server_address[:2], timeout=3) as sock:
+        sock.sendall(raw)
+        sock.shutdown(socket.SHUT_WR)
+        reply = bytearray()
+        try:
+            while chunk := sock.recv(65536):
+                reply += chunk
+        except ConnectionResetError:
+            pass  # the server closed with part of the request unread
+    return bytes(reply)
+
+
 class TestRawRequests:
     """Arbitrary request bytes on a raw socket that is then half-closed:
-    the parser answers 4xx, a valid `/healthz` gets 200, and nothing hangs
-    or fails the server."""
+    the parser answers 4xx in JSON with a status line, a valid `/healthz`
+    gets 200, and nothing hangs or fails the server."""
+
+    @pytest.mark.parametrize("line, status", [
+        (b"GET / HTTP/a.b", 400),
+        (b"GET /healthz HTTP/2.0", 505),
+        (b"PUT /healthz HTTP/1.0", 501),
+    ])
+    def test_parser_refusals_carry_a_status_line_and_json(self, server, line, status):
+        reply = raw_reply(server, line + b"\r\n\r\n")
+        head, _, body = reply.partition(b"\r\n\r\n")
+        status_line, *headers = head.decode("latin-1").split("\r\n")
+        assert status_line.startswith(f"HTTP/1.0 {status} "), reply
+        fields = dict(h.split(": ", 1) for h in headers)
+        assert fields["Content-Type"] == "application/json"
+        assert int(fields["Content-Length"]) == len(body)
+        assert json.loads(body)["error"]
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -626,38 +660,31 @@ class TestRawRequests:
     @example(drawn=(b"POST http://[::1/requests HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}", "POST"))
     def test_raw_request_bytes_never_get_a_server_error(self, server, drawn):
         raw, method = drawn
-        with socket.create_connection(server.server_address[:2], timeout=3) as sock:
-            sock.sendall(raw)
-            sock.shutdown(socket.SHUT_WR)
-            reply = bytearray()
-            try:
-                while chunk := sock.recv(65536):
-                    reply += chunk
-            except ConnectionResetError:
-                pass  # the server closed with part of the request unread
+        reply = raw_reply(server, raw)
+        # the request line as the parser splits it
+        words = raw.split(b"\n", 1)[0].decode("latin-1").split()
         if not reply:
             # only a request with no request line is closed without a reply
-            assert not raw.split(b"\n", 1)[0].split(), raw
+            assert not words, raw
         else:
             if reply.startswith(b"HTTP/"):
-                head, _, body = bytes(reply).partition(b"\r\n\r\n")
+                head, _, body = reply.partition(b"\r\n\r\n")
                 status = int(head.split()[1])
             else:
-                # a request line with no version, or one the parser cannot
-                # read, is answered as HTTP/0.9: the body alone, which is
-                # the parser's error page or the GET handler's JSON
-                body = bytes(reply)
-                code = re.search(rb"Error code: (\d+)", body)
-                status = int(code.group(1)) if code else 200 if b'"status"' in body else 404
+                # only a two-word GET line is an HTTP/0.9 request, answered
+                # with the GET handler's JSON body alone
+                assert len(words) == 2 and words[0] == "GET", (raw, reply)
+                body = reply
+                status = 200 if b'"status"' in body else 404
             if status == 200:
                 assert json.loads(body) == {"status": "ok", "node": "node-http"}, raw
-            elif status >= 500:
-                # the parser's protocol answers: a method it has no handler
-                # for, or an HTTP major version above 1; never a failure
-                assert (status == 501 and method not in ("GET", "POST")
-                        or status == 505), (raw, reply)
             else:
-                assert 400 <= status < 500, (raw, reply)
+                assert json.loads(body)["error"], (raw, reply)
+                # 5xx only as the parser's protocol answers: a method it has
+                # no handler for, or an HTTP major version above 1
+                assert (400 <= status < 500
+                        or status == 501 and method not in ("GET", "POST")
+                        or status == 505), (raw, reply)
         assert healthz_within(server, 1.0) == 200
 
 
@@ -818,6 +845,7 @@ _BAD_UPDATE_FIELDS = st.sampled_from([
     {"version": "x"}, {"version": 9.5}, {"version": True}, {"version": None},
     {"score": "karma"}, {"score": 3},
     {"principal": ""}, {"principal": "has space"}, {"principal": 5},
+    {"origin": 5}, {"origin": ["a"]}, {"origin": {"x": 1}}, {"origin": None},
 ])
 _REQUIRED_UPDATE_KEYS = st.sampled_from(["principal", "score", "value", "version"])
 

@@ -1,7 +1,6 @@
 import pytest
 
 from trustgate.ontology import (
-    CLASS_ALIASES,
     DUA_CLASS,
     PERMITTED_USE_CLASS,
     PERMITTED_USE_INDIVIDUALS,
@@ -16,7 +15,6 @@ from trustgate.ontology import (
     PrincipalRef,
     bootstrap_vocabulary,
     read_dua,
-    resolve_class,
     validate_instances,
     write_dua,
 )
@@ -64,13 +62,13 @@ class TestBootstrap:
         bootstrap_vocabulary(g2)
         assert g1.triples() == g2.triples()
 
-    def test_class_aliases_resolve_to_application_schema(self):
-        assert resolve_class(iri(DUA_NS + "Organization")) == SYN_ORGANIZATION
-        assert resolve_class(SYN_ORGANIZATION) == SYN_ORGANIZATION
-        for superseded in CLASS_ALIASES:
-            g = Graph()
-            bootstrap_vocabulary(g)
-            assert Triple(superseded, RDF_TYPE, RDFS_CLASS) not in g
+    def test_superseded_classes_are_not_declared(self):
+        g = Graph()
+        bootstrap_vocabulary(g)
+        assert Triple(SYN_ORGANIZATION, RDF_TYPE, RDFS_CLASS) in g
+        for superseded in (DUA_NS + "Organization", DUA_NS + "Data",
+                           TST_NS + "Organization", TST_NS + "Data"):
+            assert Triple(iri(superseded), RDF_TYPE, RDFS_CLASS) not in g
 
 
 class TestPrincipalRef:

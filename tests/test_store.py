@@ -11,6 +11,7 @@ from trustgate.store import (
     SYN_NS,
     TST_NS,
     XSD_FLOAT,
+    XSD_NS,
     Graph,
     LineFormatError,
     IRI,
@@ -478,8 +479,7 @@ class TestParsePaths:
     @example('<s:a> <p:p> "two\\nlines" .')
     @example("<s:a>\x0b<p:p> <o:o> .")
     def test_loading_a_line_agrees_with_the_scanner(self, raw):
-        namespaces = Graph().namespaces
-        expected = _outcome(lambda: _parse_line(raw, 1, namespaces, Term))
+        expected = _outcome(lambda: _parse_line(raw, 1, Term))
         assert _outcome(lambda: _load_one(raw)) == expected
 
     def test_prefixed_and_absolute_forms_share_one_term(self):
@@ -620,14 +620,9 @@ class TestLeafForms:
 
 class TestNamespaces:
     def test_default_prefixes_registered(self):
-        g = Graph()
-        for prefix in ("syn", "dua", "tst", "rdf", "rdfs", "xsd"):
-            assert prefix in g.namespaces
-
-    def test_expand_and_compact(self):
-        g = Graph()
-        assert g.expand("syn:Patient") == SYN_NS + "Patient"
-        assert g.compact(SYN_NS + "Patient") == "syn:Patient"
-        assert g.compact("urn:nowhere/else") is None
-        with pytest.raises(TermError):
-            g.expand("bogus:x")
+        namespaces = {"syn": SYN_NS, "dua": DUA_NS, "tst": TST_NS, "rdf": RDF_NS,
+                      "rdfs": RDFS_NS, "xsd": XSD_NS}
+        for prefix, namespace in namespaces.items():
+            g = Graph()
+            assert load_lines(g, f"{prefix}:s {prefix}:p {prefix}:o .\n") == 1
+            assert list(g) == [t(namespace + "s", namespace + "p", namespace + "o")]

@@ -42,7 +42,7 @@ ALICE = SYN_NS + "user_001"
 
 
 def make_registry(graph=None):
-    registry = TrustRegistry(graph)
+    registry = TrustRegistry(Graph() if graph is None else graph)
     registry.register(PrincipalRef(iri=CUSTODIAN, kind=ORGANIZATION, label="DataCustodian"))
     registry.register(PrincipalRef(iri=ORG, kind=ORGANIZATION, label="Organization_01"))
     registry.register(PrincipalRef(iri=ALICE, kind=USER, label="physician_105", affiliation=ORG))
