@@ -33,7 +33,6 @@ from .policy import (
     DataRequest,
     PolicyEngine,
     PolicyTemplate,
-    penalty_for,
     register_builtin_policies,
 )
 from .middleware import (
@@ -86,7 +85,6 @@ __all__ = [
     "iri",
     "load_lines",
     "parse",
-    "penalty_for",
     "plain",
     "read_dua",
     "register_builtin_policies",

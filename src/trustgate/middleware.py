@@ -30,7 +30,6 @@ from urllib.parse import unquote, urlparse
 from . import ontology as vocab
 from .ontology import DuaRecord, OntologyError, PrincipalRef
 from .policy import (
-    PENALTY_TARGET,
     STAGE_CREDIBILITY,
     STAGE_POLICY,
     ComplianceResult,
@@ -42,9 +41,7 @@ from .policy import (
 from .query import RDF_TYPE, SELECT, BindingSet, QueryAst, eval_select
 from .store import Graph, StoreError, TermError, TriplePattern, Var, iri, json_term
 from .trust import (
-    BEHAVIOR,
-    CREDIBILITY_SCORE,
-    IDENTITY,
+    SCORE_NAMES,
     AssessmentConfig,
     Assessment,
     DuaMismatchError,
@@ -139,7 +136,7 @@ class ScoreUpdate:
             iri(principal)
         except (TermError, TypeError):
             raise RequestValidationError(f"principal must be an IRI: {principal!r}") from None
-        if score not in (BEHAVIOR, IDENTITY, CREDIBILITY_SCORE):
+        if score not in SCORE_NAMES:
             raise RequestValidationError(f"unknown score name: {score!r}")
         try:
             as_score(value)
@@ -465,36 +462,18 @@ class ExchangeMiddleware:
                 granted = compliance.compliant and assessment.passed
                 penalty = self.engine.penalty_for(compliance)
                 if penalty is not None:
-                    if PENALTY_TARGET[penalty] == "user":
-                        before = registry.get(user.iri).behavior
-                        org_identity_before = registry.get(org).identity
-                        record = registry.penalize_user(user.iri, penalty, self.penalty_cfg)
+                    for principal, before, after in registry.penalize(
+                        penalty, user.iri, request.custodian, self.penalty_cfg
+                    ):
                         applied.append(AppliedPenalty(
-                            user.iri, penalty, canonical_score(before), canonical_score(record.behavior)
+                            principal, penalty, canonical_score(before), canonical_score(after)
                         ))
-                        org_identity_after = registry.get(org).identity
-                        if org_identity_after != org_identity_before:
-                            applied.append(AppliedPenalty(
-                                org, penalty,
-                                canonical_score(org_identity_before),
-                                canonical_score(org_identity_after),
-                            ))
-                    else:
-                        before = registry.get(request.custodian).credibility
-                        record = registry.penalize_org(request.custodian, penalty, self.penalty_cfg)
-                        applied.append(AppliedPenalty(
-                            request.custodian, penalty,
-                            canonical_score(before), canonical_score(record.credibility),
-                        ))
+                    if applied[0].principal == request.custodian:
                         notices.append({
                             "type": penalty,
                             "category": request.category,
                             "custodian": request.custodian,
                         })
-                    custodian_rec = registry.get(request.custodian)
-                    if (custodian_rec.credibility is not None and custodian_rec.credibility <= 0) or \
-                            registry.get(org).identity <= 0:
-                        registry.lock_pair(request.custodian, org)
                 for principal in (user.iri, org, request.custodian):
                     registry.touch_projection(principal)
                 self._enqueue(registry.take_events())
@@ -650,7 +629,6 @@ class ExchangeMiddleware:
             "requestId": request.request_id,
             "request": _request_to_dict(request),
             "decision": decision.to_dict(),
-            "penalties": [p.to_dict() for p in decision.applied_penalties],
             "timings": timings,
         }
         self._log_file.write(json.dumps(record, sort_keys=True) + "\n")

@@ -5,6 +5,8 @@ The recipient-side checks (agreement exists, category granted, purpose
 permitted) decide the user's compliance and short-circuit on first failure.
 The custodian-side checks (category actually held, property groups complete)
 never deny a compliant request; they feed notices and credibility penalties.
+Each policy declares the penalty kind its failure carries; `trust` decides
+who pays it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,14 @@ from . import ontology as vocab
 from .ontology import DataCategoryRef, PrincipalRef
 from .query import QueryAst, compile_plan, eval_ask, parse
 from .store import Graph, Term, iri
-from .trust import DUA_VIOLATION, MISSING_CATEGORY, MISSING_PROPERTIES, NO_DUA_REQUEST
+from .trust import (
+    DUA_VIOLATION,
+    MISSING_CATEGORY,
+    MISSING_PROPERTIES,
+    NO_DUA_REQUEST,
+    ORG_PENALTIES,
+    USER_PENALTIES,
+)
 
 
 class PolicyError(Exception):
@@ -46,13 +55,6 @@ STAGE_POLICY = "recipientPolicyCheck"
 STAGE_CREDIBILITY = "dataCredibilityCheck"
 
 POLICY_ORDER = (P_DUA_EXISTS, P_REQUESTED_DATA, P_CUSTODIAN_HAS_CATEGORY, P_PURPOSE_PERMITTED)
-
-PENALTY_TARGET = {
-    NO_DUA_REQUEST: USER_SIDE,
-    DUA_VIOLATION: USER_SIDE,
-    MISSING_CATEGORY: CUSTODIAN_SIDE,
-    MISSING_PROPERTIES: CUSTODIAN_SIDE,
-}
 
 
 @dataclass(frozen=True)
@@ -215,26 +217,6 @@ class ComplianceResult:
         raise PolicyError(f"unknown policy id: {policy_id}")
 
 
-def penalty_for(result: ComplianceResult) -> Optional[str]:
-    """Map a compliance outcome to at most one penalty kind.
-
-    Recipient-side failures penalize the user; a compliant request against a
-    custodian that lacks the category or its properties penalizes the
-    custodian. A fully clean outcome carries no penalty.
-    """
-    if result.outcome(P_DUA_EXISTS) is False:
-        return NO_DUA_REQUEST
-    if result.outcome(P_REQUESTED_DATA) is False:
-        return DUA_VIOLATION
-    if result.outcome(P_PURPOSE_PERMITTED) is False:
-        return DUA_VIOLATION
-    if result.custodian_has_data is False:
-        return MISSING_CATEGORY
-    if result.compliant and result.custodian_complete is False:
-        return MISSING_PROPERTIES
-    return None
-
-
 def completeness_probe(graph: Graph, category: Term, sample_size: int = 25) -> bool:
     """True iff every declared property group of the category has at least
     one triple on at least one sampled instance.
@@ -304,6 +286,17 @@ class PolicyEngine:
             if builtin not in self.templates:
                 raise PolicyError(f"missing built-in policy: {builtin}")
         self.completeness_sample = completeness_sample
+        extensions = sorted(
+            pid
+            for pid, template in self.templates.items()
+            if pid not in POLICY_ORDER and template.side == USER_SIDE
+        )
+        # the recipient-side chain in order, each policy with whether its
+        # query takes the request's category and its purpose
+        self._user_chain = []
+        for pid in (P_DUA_EXISTS, P_REQUESTED_DATA, P_PURPOSE_PERMITTED, *extensions):
+            wanted = self.templates[pid].placeholders()
+            self._user_chain.append((pid, "categoryIri" in wanted, "purposeIri" in wanted))
         # one entry per instantiated query, keyed by value: the template id
         # plus the request fields its placeholders take
         self._compiled: dict[tuple, _Compiled] = {}
@@ -373,13 +366,6 @@ class PolicyEngine:
         values.sort()
         return values
 
-    def _extension_ids(self) -> list[str]:
-        return sorted(
-            pid
-            for pid, template in self.templates.items()
-            if pid not in POLICY_ORDER and template.side == USER_SIDE
-        )
-
     def evaluate_user_policies(self, request: DataRequest) -> list[tuple[str, Optional[bool]]]:
         """Recipient-side checks in order, short-circuiting on first failure.
 
@@ -387,19 +373,16 @@ class PolicyEngine:
         """
         outcomes: list[tuple[str, Optional[bool]]] = []
         failed = False
-        for policy_id in (P_DUA_EXISTS, P_REQUESTED_DATA, P_PURPOSE_PERMITTED) + tuple(
-            self._extension_ids()
-        ):
+        for policy_id, by_category, by_purpose in self._user_chain:
             if failed:
                 outcomes.append((policy_id, None))
                 continue
-            wanted = self.templates[policy_id].placeholders()
             key = (
                 policy_id,
                 request.user.label,
                 request.custodian,
-                request.category if "categoryIri" in wanted else None,
-                request.purpose if "purposeIri" in wanted else None,
+                request.category if by_category else None,
+                request.purpose if by_purpose else None,
             )
             passed = self._ask(key, request)
             outcomes.append((policy_id, passed))
@@ -407,19 +390,15 @@ class PolicyEngine:
         return outcomes
 
     def penalty_for(self, result: ComplianceResult) -> Optional[str]:
-        """penalty_for extended with deployment-loaded policies: a failed
-        extension maps to its declared penalty kind (agreement violation by
-        default)."""
-        builtin = penalty_for(result)
-        if builtin is not None:
-            return builtin
+        """The penalty kind an outcome carries, if any: the failed policy's
+        declared one (an agreement violation when it declares none), else
+        missing properties for a compliant request whose category is
+        incomplete. Policies short-circuit, so at most one has failed."""
         for pid, passed in result.per_policy:
-            if pid in POLICY_ORDER or passed is not False:
-                continue
-            template = self.templates.get(pid)
-            if template is not None and template.failure_penalty:
-                return template.failure_penalty
-            return DUA_VIOLATION
+            if passed is False:
+                return self.templates[pid].failure_penalty or DUA_VIOLATION
+        if result.compliant and result.custodian_complete is False:
+            return MISSING_PROPERTIES
         return None
 
     def evaluate_custodian(self, request: DataRequest) -> tuple[bool, Optional[bool]]:
@@ -527,10 +506,9 @@ def load_policy_dir(path) -> list[PolicyTemplate]:
             failure_penalty=meta.get("failure_penalty"),
             side=meta.get("side", USER_SIDE),
         )
-        if template.failure_penalty is not None and template.failure_penalty not in PENALTY_TARGET:
-            raise PolicyError(
-                f"{template.id}: unknown failure penalty {template.failure_penalty!r}"
-            )
+        penalty = template.failure_penalty
+        if penalty is not None and penalty not in USER_PENALTIES + ORG_PENALTIES:
+            raise PolicyError(f"{template.id}: unknown failure penalty {penalty!r}")
         unknown = template.placeholders() - set(_DUMMY_SUBSTITUTIONS)
         if unknown:
             raise PolicyError(f"{template.id}: unknown placeholders {sorted(unknown)}")

@@ -48,6 +48,14 @@ _PROTECTIONS = ("audit logging", "tls in transit")
 
 DEFAULT_INVENTORY = (vocab.SYN_PATIENT, vocab.SYN_ENCOUNTER, vocab.SYN_OBSERVATION)
 
+# the experiment demographics: ten recipient organizations, the first seven
+# with an agreement, the first four of those granting Patient data and the
+# first two of those for public health
+ORG_COUNT = 10
+DUA_COUNT = 7
+PATIENT_DUA_COUNT = 4
+PUBLIC_HEALTH_DUA_COUNT = 2
+
 
 class SynthError(Exception):
     pass
@@ -57,24 +65,11 @@ class SynthError(Exception):
 class GeneratorSpec:
     seed: int = 1
     patient_count: int = 1000
-    org_count: int = 10
     user_count: int = 100
-    dua_count: int = 7
-    patient_dua_count: int = 4
-    public_health_dua_count: int = 2
 
     def __post_init__(self):
         if self.patient_count < 0 or self.user_count < 0:
             raise SynthError("counts must be non-negative")
-        if not (
-            self.public_health_dua_count
-            <= self.patient_dua_count
-            <= self.dua_count
-            <= self.org_count
-        ):
-            raise SynthError(
-                "need public-health <= patient-granting <= agreements <= organizations"
-            )
 
 
 @dataclass(frozen=True)
@@ -135,11 +130,11 @@ class DemographicsManifest:
         return out
 
 
-def _dua_categories(index: int, spec: GeneratorSpec) -> tuple[str, ...]:
+def _dua_categories(index: int) -> tuple[str, ...]:
     patient = vocab.SYN_PATIENT.lexical
     encounter = vocab.SYN_ENCOUNTER.lexical
     observation = vocab.SYN_OBSERVATION.lexical
-    if index < spec.patient_dua_count:
+    if index < PATIENT_DUA_COUNT:
         if index == 0:
             return (patient, encounter, observation)
         if index == 1:
@@ -147,14 +142,14 @@ def _dua_categories(index: int, spec: GeneratorSpec) -> tuple[str, ...]:
         if index == 2:
             return (patient, observation)
         return (patient,)
-    if index == spec.dua_count - 1:
+    if index == DUA_COUNT - 1:
         # the last agreement asks for a category the custodian does not hold
         return (vocab.SYN_SYMPTOM.lexical,)
     return (encounter,) if index % 2 == 0 else (observation,)
 
 
-def _dua_purposes(index: int, spec: GeneratorSpec) -> tuple[str, ...]:
-    if index < spec.public_health_dua_count:
+def _dua_purposes(index: int) -> tuple[str, ...]:
+    if index < PUBLIC_HEALTH_DUA_COUNT:
         return (vocab.PUBLIC_HEALTH.lexical,)
     if index % 2 == 0:
         return (vocab.IRB_APPROVED_RESEARCH.lexical,)
@@ -164,12 +159,12 @@ def _dua_purposes(index: int, spec: GeneratorSpec) -> tuple[str, ...]:
 def demographics_manifest(spec: GeneratorSpec) -> DemographicsManifest:
     """Deterministic assignment of organizations, users, and agreements."""
     orgs = []
-    for k in range(spec.org_count):
+    for k in range(ORG_COUNT):
         org_iri = f"{SYN_NS}org_{k + 1:02d}"
-        if k < spec.dua_count:
+        if k < DUA_COUNT:
             dua_iri = f"{SYN_NS}dua_{k + 1:02d}"
-            categories = _dua_categories(k, spec)
-            purposes = _dua_purposes(k, spec)
+            categories = _dua_categories(k)
+            purposes = _dua_purposes(k)
         else:
             dua_iri, categories, purposes = None, (), ()
         orgs.append(
@@ -183,7 +178,7 @@ def demographics_manifest(spec: GeneratorSpec) -> DemographicsManifest:
         )
     users = []
     for i in range(spec.user_count):
-        org = orgs[i % spec.org_count]
+        org = orgs[i % ORG_COUNT]
         if i < len(_NAMED_USERS):
             label = _NAMED_USERS[i]
         else:

@@ -3,6 +3,11 @@
 Scores are fixed-point decimals with four fractional digits so that repeated
 0.01 deductions land exactly on zero; the graph carries a projection of every
 score (written in canonical decimal form) that is refreshed on each mutation.
+
+A penalty kind names who pays it (`USER_PENALTIES`, `ORG_PENALTIES`). The
+lock rule: a custodian and a recipient organization stop exchanging once the
+custodian's credibility or the recipient's identity is zero, or the pair
+carries a lock mark, which a penalty that zeroes either score sets.
 """
 
 from __future__ import annotations
@@ -31,9 +36,11 @@ SCALE = Decimal("0.0001")
 ZERO = Decimal("0.0000")
 ONE = Decimal("1.0000")
 
+# each score name is the TrustRecord field that holds it
 BEHAVIOR = "behavior"
 IDENTITY = "identity"
 CREDIBILITY_SCORE = "credibility"
+SCORE_NAMES = (IDENTITY, BEHAVIOR, CREDIBILITY_SCORE)
 
 DUA_VIOLATION = "duaViolation"
 NO_DUA_REQUEST = "noDuaRequest"
@@ -42,6 +49,7 @@ MISSING_PROPERTIES = "missingProperties"
 
 USER_PENALTIES = (DUA_VIOLATION, NO_DUA_REQUEST)
 ORG_PENALTIES = (MISSING_CATEGORY, MISSING_PROPERTIES)
+
 
 class TrustError(Exception):
     pass
@@ -117,12 +125,9 @@ class TrustRecord:
         return self.principal.kind == USER
 
     def scores(self) -> dict[str, Decimal]:
-        out = {IDENTITY: self.identity}
-        if self.behavior is not None:
-            out[BEHAVIOR] = self.behavior
-        if self.credibility is not None:
-            out[CREDIBILITY_SCORE] = self.credibility
-        return out
+        return {
+            name: value for name in SCORE_NAMES if (value := getattr(self, name)) is not None
+        }
 
 
 @dataclass(frozen=True)
@@ -193,6 +198,18 @@ class PenaltyConfig:
         }[kind]
 
 
+def _zeroed(custodian: TrustRecord, recipient: TrustRecord) -> list[tuple[str, str]]:
+    """(principal, score name) for each score of a custodian and recipient
+    organization pair that is at zero and so locks the pair: the custodian's
+    credibility and the recipient's identity."""
+    zeroed = []
+    if custodian.credibility is not None and custodian.credibility <= ZERO:
+        zeroed.append((custodian.principal.iri, CREDIBILITY_SCORE))
+    if recipient.identity <= ZERO:
+        zeroed.append((recipient.principal.iri, IDENTITY))
+    return zeroed
+
+
 def assess(record: TrustRecord, cfg: AssessmentConfig) -> Assessment:
     """Weighted average of a user's behavior and identity against the
     threshold; the threshold is inclusive."""
@@ -228,8 +245,7 @@ class TrustRegistry:
             record = TrustRecord(ref, behavior=ONE, identity=ONE, credibility=None)
         else:
             record = TrustRecord(ref, behavior=None, identity=ONE, credibility=ONE)
-        self._records[ref.iri] = record
-        self._refresh_projection(record)
+        self._commit(record)
         return record
 
     def is_registered(self, principal_iri: str) -> bool:
@@ -265,13 +281,10 @@ class TrustRegistry:
                           version=record.version + 1)
             self._commit(new)
             return new
-        behavior = record.behavior - cfg.deduction(kind)
-        if behavior < ZERO:
-            behavior = ZERO
-        new = replace(record, behavior=behavior, version=record.version + 1)
-        self._commit(new, changed=(BEHAVIOR,))
+        new = self._write_score(record, BEHAVIOR, record.behavior - cfg.deduction(kind))
         if cfg.penalize_org_identity and record.principal.affiliation:
-            self._penalize_identity(record.principal.affiliation, cfg.deduction(kind))
+            org = self.get(record.principal.affiliation)
+            self._write_score(org, IDENTITY, org.identity - cfg.deduction(kind))
         return new
 
     def penalize_org(self, principal_iri: str, kind: str, cfg: PenaltyConfig) -> TrustRecord:
@@ -281,20 +294,35 @@ class TrustRegistry:
         record = self.get(principal_iri)
         if record.is_user():
             raise PrincipalKindError(f"{principal_iri} is not an organization")
-        credibility = record.credibility - cfg.deduction(kind)
-        if credibility < ZERO:
-            credibility = ZERO
-        new = replace(record, credibility=credibility, version=record.version + 1)
-        self._commit(new, changed=(CREDIBILITY_SCORE,))
-        return new
+        return self._write_score(
+            record, CREDIBILITY_SCORE, record.credibility - cfg.deduction(kind)
+        )
 
-    def _penalize_identity(self, principal_iri: str, deduction: Decimal) -> None:
-        record = self.get(principal_iri)
-        identity = record.identity - deduction
-        if identity < ZERO:
-            identity = ZERO
-        new = replace(record, identity=identity, version=record.version + 1)
-        self._commit(new, changed=(IDENTITY,))
+    def penalize(
+        self, kind: str, user_iri: str, custodian_iri: str, cfg: PenaltyConfig
+    ) -> list[tuple[str, Decimal, Decimal]]:
+        """Charge the penalty `kind`, earned by the user's request to the
+        custodian, to whoever pays it; then lock the custodian and the user's
+        (registered) organization if a score the lock rule reads is zero.
+
+        Returns (principal, before, after) per score charged: the user's
+        behavior, equal under grace, then the organization's identity if it
+        moved; or the custodian's credibility."""
+        user = self.get(user_iri)
+        org_iri = user.principal.affiliation
+        if kind in USER_PENALTIES:
+            org_before = self.get(org_iri).identity
+            after = self.penalize_user(user_iri, kind, cfg).behavior
+            charged = [(user_iri, user.behavior, after)]
+            if self.get(org_iri).identity != org_before:
+                charged.append((org_iri, org_before, self.get(org_iri).identity))
+        else:
+            before = self.get(custodian_iri).credibility
+            after = self.penalize_org(custodian_iri, kind, cfg).credibility
+            charged = [(custodian_iri, before, after)]
+        if _zeroed(self.get(custodian_iri), self.get(org_iri)):
+            self.lock_pair(custodian_iri, org_iri)
+        return charged
 
     # -- lockout -----------------------------------------------------------
 
@@ -306,11 +334,7 @@ class TrustRegistry:
         for record in (custodian, recipient):
             if record.is_user():
                 raise PrincipalKindError(f"{record.principal.iri} is not an organization")
-        if custodian.credibility is not None and custodian.credibility <= ZERO:
-            return True
-        if recipient.identity <= ZERO:
-            return True
-        return (
+        return bool(_zeroed(custodian, recipient)) or (
             recipient_org_iri in custodian.locked_with
             or custodian_iri in recipient.locked_with
         )
@@ -362,14 +386,10 @@ class TrustRegistry:
                     f"{sorted(t.lexical for t in recipients)}"
                 )
         write_dua(graph, new_dua)
-        custodian = self.get(custodian_iri)
-        if custodian.credibility is not None and custodian.credibility <= ZERO:
-            custodian = replace(custodian, credibility=ONE, version=custodian.version + 1)
-            self._commit(custodian, changed=(CREDIBILITY_SCORE,))
-        recipient = self.get(recipient_org_iri)
-        if recipient.identity <= ZERO:
-            recipient = replace(recipient, identity=ONE, version=recipient.version + 1)
-            self._commit(recipient, changed=(IDENTITY,))
+        for principal_iri, score_name in _zeroed(
+            self.get(custodian_iri), self.get(recipient_org_iri)
+        ):
+            self._write_score(self.get(principal_iri), score_name, ONE)
         self.unlock_pair(custodian_iri, recipient_org_iri)
         return self.get(custodian_iri), self.get(recipient_org_iri)
 
@@ -379,6 +399,8 @@ class TrustRegistry:
         """Apply a propagated score if its version is newer; stale or
         duplicate versions are ignored. Unknown principals are auto-registered.
         """
+        if score_name not in SCORE_NAMES:
+            raise TrustError(f"unknown score name: {score_name}")
         score = as_score(value)
         record = self._records.get(principal_iri)
         if record is None:
@@ -392,29 +414,14 @@ class TrustRegistry:
             self._records[principal_iri] = record
         if version <= record.version:
             return False
-        if score_name == BEHAVIOR:
-            new = replace(record, behavior=score, version=version)
-        elif score_name == CREDIBILITY_SCORE:
-            new = replace(record, credibility=score, version=version)
-        elif score_name == IDENTITY:
-            new = replace(record, identity=score, version=version)
-        else:
-            raise TrustError(f"unknown score name: {score_name}")
-        self._records[principal_iri] = new
-        self._refresh_projection(new)
+        self._commit(replace(record, **{score_name: score}, version=version))
         return True
 
     def set_score(self, principal_iri: str, score_name: str, value) -> TrustRecord:
-        """Versioned direct write (agreement resets, harness state resets)."""
-        score = as_score(value)
-        record = self.get(principal_iri)
-        new = replace(record, **{
-            BEHAVIOR: {"behavior": score},
-            IDENTITY: {"identity": score},
-            CREDIBILITY_SCORE: {"credibility": score},
-        }[score_name], version=record.version + 1)
-        self._commit(new, changed=(score_name,))
-        return new
+        """Versioned direct write (harness and test state resets)."""
+        if score_name not in SCORE_NAMES:
+            raise TrustError(f"unknown score name: {score_name}")
+        return self._write_score(self.get(principal_iri), score_name, as_score(value))
 
     def take_events(self) -> list[tuple[str, str, Decimal, int]]:
         """Drain (principal, score, value, version) mutation events."""
@@ -436,12 +443,16 @@ class TrustRegistry:
 
     # -- internals -----------------------------------------------------------
 
-    def _commit(self, record: TrustRecord, changed: tuple[str, ...] = ()) -> None:
+    def _write_score(self, record: TrustRecord, score_name: str, value: Decimal) -> TrustRecord:
+        """Commit `value`, clamped at zero, as the record's `score_name` score
+        under the next version, emitting its event."""
+        new = replace(record, **{score_name: max(value, ZERO)}, version=record.version + 1)
+        self._events.append((new.principal.iri, score_name, getattr(new, score_name), new.version))
+        self._commit(new)
+        return new
+
+    def _commit(self, record: TrustRecord) -> None:
         self._records[record.principal.iri] = record
-        for name in changed:
-            self._events.append(
-                (record.principal.iri, name, record.scores()[name], record.version)
-            )
         self._refresh_projection(record)
 
     def touch_projection(self, principal_iri: str) -> None:

@@ -24,6 +24,7 @@ from trustgate.middleware import (
     start_server,
 )
 from trustgate.ontology import DuaRecord, bootstrap_vocabulary
+from trustgate.policy import load_policy_dir, register_builtin_policies
 from trustgate.query import BindingSet
 from trustgate.store import XSD_FLOAT, Graph, SYN_NS, Triple, iri, plain, serialize_term, typed
 from trustgate.synth import GeneratorSpec, demographics_manifest, generate_dataset
@@ -122,6 +123,36 @@ class TestExchangeCycle:
             (user(demo_manifest, 7), "0.98"),
             (demo_manifest.users[7].org_iri, "0.98"),
         ]
+
+    def test_extension_with_an_org_penalty_charges_the_custodian(
+        self, demo_graph, demo_manifest, tmp_path
+    ):
+        # an extension clause only the first organization's users satisfy,
+        # whose failure is declared the custodian's fault
+        (tmp_path / "label-allowlist.rq").write_text(
+            "ASK{\n"
+            '   ?user rdfs:label "{userLabel}"^^rdf:PlainLiteral .\n'
+            "   ?user syn:isAffiliatedWith syn:org_01 .\n"
+            "}\n"
+        )
+        (tmp_path / "label-allowlist.json").write_text(json.dumps(
+            {"id": "label-allowlist", "side": "user", "failure_penalty": "missingCategory"}
+        ))
+        service = ExchangeMiddleware(
+            demo_graph, policies=register_builtin_policies() + load_policy_dir(tmp_path)
+        )
+        # the second organization's agreement grants Patient for public health
+        request = service.build_request(user(demo_manifest, 1), PATIENT, PUBLIC_HEALTH)
+        response = service.handle_request(request)
+        assert response.decision.granted is False
+        custodian = demo_manifest.custodian_iri
+        assert [p.to_dict() for p in response.decision.applied_penalties] == [
+            {"principal": custodian, "kind": "missingCategory", "before": "1.0", "after": "0.98"}
+        ]
+        assert response.custodian_notices == (
+            {"type": "missingCategory", "category": PATIENT, "custodian": custodian},
+        )
+        assert service.registry.get(user(demo_manifest, 1)).behavior == Decimal("1")
 
     def test_low_trust_denies_without_penalty(self, service, demo_manifest):
         service.registry.set_score(user(demo_manifest, 0), "behavior", "0.5")
@@ -504,6 +535,23 @@ class TestTransactionLog:
         replayed = build(demo_spec)
         with open(path) as handle:
             assert replayed.replay_log(handle) == 20
+        assert replayed.registry.snapshot() == first.registry.snapshot()
+
+    def test_log_line_carries_penalties_once(self, demo_spec, demo_manifest, tmp_path):
+        path = tmp_path / "txns.ldjson"
+        first = build(demo_spec, log_path=str(path))
+        first.handle_request(
+            first.build_request(user(demo_manifest, 7), PATIENT, PUBLIC_HEALTH)
+        )
+        first.close()
+        assert path.read_text().count('"noDuaRequest"') == 1
+        (entry,) = read_log(path)
+        assert entry["decision"]["appliedPenalties"] == [{
+            "principal": user(demo_manifest, 7), "kind": "noDuaRequest",
+            "before": "1.0", "after": "0.98",
+        }]
+        replayed = build(demo_spec)
+        assert replayed.replay_log([entry]) == 1
         assert replayed.registry.snapshot() == first.registry.snapshot()
 
     def test_replay_reproduces_registry(self, demo_spec, demo_manifest, tmp_path):

@@ -12,7 +12,6 @@ from trustgate.policy import (
     P_DUA_EXISTS,
     P_PURPOSE_PERMITTED,
     P_REQUESTED_DATA,
-    PENALTY_TARGET,
     ComplianceResult,
     DataRequest,
     PolicyEngine,
@@ -21,7 +20,6 @@ from trustgate.policy import (
     completeness_probe,
     instantiate,
     load_policy_dir,
-    penalty_for,
     register_builtin_policies,
 )
 from trustgate.query import parse
@@ -31,6 +29,8 @@ from trustgate.trust import (
     MISSING_CATEGORY,
     MISSING_PROPERTIES,
     NO_DUA_REQUEST,
+    ORG_PENALTIES,
+    USER_PENALTIES,
 )
 
 DUA_EXISTENCE_POLICY = """ASK{
@@ -117,7 +117,7 @@ class TestEvaluate:
         assert result.compliant is True
         assert result.custodian_has_data is True
         assert result.custodian_complete is True
-        assert penalty_for(result) is None
+        assert engine.penalty_for(result) is None
 
     def test_no_dua_user_short_circuits(self, demo_graph, demo_manifest):
         engine = PolicyEngine(demo_graph)
@@ -128,7 +128,7 @@ class TestEvaluate:
         assert result.outcome(P_CUSTODIAN_HAS_CATEGORY) is None
         assert result.outcome(P_PURPOSE_PERMITTED) is None
         assert result.compliant is False
-        assert penalty_for(result) == NO_DUA_REQUEST
+        assert engine.penalty_for(result) == NO_DUA_REQUEST
 
     def test_category_outside_dua_fails_requested_data(self, demo_graph, demo_manifest):
         engine = PolicyEngine(demo_graph)
@@ -137,7 +137,7 @@ class TestEvaluate:
         assert result.outcome(P_DUA_EXISTS) is True
         assert result.outcome(P_REQUESTED_DATA) is False
         assert result.compliant is False
-        assert penalty_for(result) == DUA_VIOLATION
+        assert engine.penalty_for(result) == DUA_VIOLATION
 
     def test_wrong_purpose_fails_purpose_policy(self, demo_graph, demo_manifest):
         engine = PolicyEngine(demo_graph)
@@ -146,7 +146,7 @@ class TestEvaluate:
         assert result.outcome(P_REQUESTED_DATA) is True
         assert result.outcome(P_PURPOSE_PERMITTED) is False
         assert result.compliant is False
-        assert penalty_for(result) == DUA_VIOLATION
+        assert engine.penalty_for(result) == DUA_VIOLATION
 
     def test_missing_category_does_not_deny(self, demo_graph, demo_manifest):
         engine = PolicyEngine(demo_graph)
@@ -156,7 +156,7 @@ class TestEvaluate:
         assert result.compliant is True
         assert result.custodian_has_data is False
         assert result.custodian_complete is None
-        assert penalty_for(result) == MISSING_CATEGORY
+        assert engine.penalty_for(result) == MISSING_CATEGORY
 
     def test_missing_properties_detected(self, stripped_graph, demo_manifest):
         engine = PolicyEngine(stripped_graph)
@@ -166,7 +166,7 @@ class TestEvaluate:
         assert result.compliant is True
         assert result.custodian_has_data is True
         assert result.custodian_complete is False
-        assert penalty_for(result) == MISSING_PROPERTIES
+        assert engine.penalty_for(result) == MISSING_PROPERTIES
 
     def test_evaluate_is_pure(self, demo_graph, demo_manifest):
         engine = PolicyEngine(demo_graph)
@@ -209,7 +209,7 @@ class TestEvaluate:
         # user index 7 belongs to the eighth organization, which has no agreement
         denied = engine.evaluate(request_for(demo_manifest, 7, PATIENT, PUBLIC_HEALTH))
         assert denied.outcome(P_DUA_EXISTS) is False
-        assert penalty_for(denied) == NO_DUA_REQUEST
+        assert engine.penalty_for(denied) == NO_DUA_REQUEST
 
     def test_one_engine_follows_agreement_and_inventory_writes(self, demo_graph, demo_manifest):
         engine = PolicyEngine(demo_graph)
@@ -234,7 +234,7 @@ class TestEvaluate:
         dropped = engine.evaluate(request)
         assert dropped.compliant is True
         assert dropped.outcome(P_CUSTODIAN_HAS_CATEGORY) is False
-        assert penalty_for(dropped) == MISSING_CATEGORY
+        assert engine.penalty_for(dropped) == MISSING_CATEGORY
         demo_graph.insert(held)
         assert engine.evaluate(request).outcome(P_CUSTODIAN_HAS_CATEGORY) is True
 
@@ -303,6 +303,7 @@ class TestPenaltyMapping:
         )
 
     def test_all_five_outcome_classes(self):
+        penalty_for = PolicyEngine(Graph()).penalty_for
         assert penalty_for(self.outcome(False, None, None, None, False, None, None)) == NO_DUA_REQUEST
         assert penalty_for(self.outcome(True, False, None, None, False, None, None)) == DUA_VIOLATION
         assert penalty_for(self.outcome(True, True, None, False, False, None, None)) == DUA_VIOLATION
@@ -311,10 +312,10 @@ class TestPenaltyMapping:
         assert penalty_for(self.outcome(True, True, True, True, True, True, True)) is None
 
     def test_targets(self):
-        assert PENALTY_TARGET[NO_DUA_REQUEST] == "user"
-        assert PENALTY_TARGET[DUA_VIOLATION] == "user"
-        assert PENALTY_TARGET[MISSING_CATEGORY] == "custodian"
-        assert PENALTY_TARGET[MISSING_PROPERTIES] == "custodian"
+        assert NO_DUA_REQUEST in USER_PENALTIES
+        assert DUA_VIOLATION in USER_PENALTIES
+        assert MISSING_CATEGORY in ORG_PENALTIES
+        assert MISSING_PROPERTIES in ORG_PENALTIES
 
 
 class TestCompletenessProbe:

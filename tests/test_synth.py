@@ -1,12 +1,13 @@
-import pytest
-
 from trustgate import ontology as vocab
 from trustgate.ontology import bootstrap_vocabulary, read_dua, validate_instances
 from trustgate.query import eval_select, parse
 from trustgate.store import Graph, SYN_NS, TriplePattern, Var, iri, serialize_lines
 from trustgate.synth import (
+    DUA_COUNT,
+    ORG_COUNT,
+    PATIENT_DUA_COUNT,
+    PUBLIC_HEALTH_DUA_COUNT,
     GeneratorSpec,
-    SynthError,
     demographics_manifest,
     generate_dataset,
     generate_demographics,
@@ -19,16 +20,10 @@ from graph_match import match
 
 
 class TestSpec:
-    def test_count_ordering_enforced(self):
-        with pytest.raises(SynthError):
-            GeneratorSpec(dua_count=11)
-        with pytest.raises(SynthError):
-            GeneratorSpec(public_health_dua_count=5)
-
     def test_defaults_match_experiment_demographics(self):
         spec = GeneratorSpec()
-        assert (spec.org_count, spec.user_count, spec.dua_count) == (10, 100, 7)
-        assert (spec.patient_dua_count, spec.public_health_dua_count) == (4, 2)
+        assert (ORG_COUNT, spec.user_count, DUA_COUNT) == (10, 100, 7)
+        assert (PATIENT_DUA_COUNT, PUBLIC_HEALTH_DUA_COUNT) == (4, 2)
 
 
 class TestDemographics:

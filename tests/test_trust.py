@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from decimal import Decimal
 
 import pytest
@@ -215,6 +216,61 @@ class TestOrgPenalties:
         registry.set_score(CUSTODIAN, CREDIBILITY_SCORE, "0.01")
         new = registry.penalize_org(CUSTODIAN, MISSING_CATEGORY, PenaltyConfig())
         assert new.credibility == Decimal("0")
+
+
+class TestPenalize:
+    def test_user_kind_with_org_identity_charges_user_and_organization(self):
+        registry = make_registry()
+        cfg = PenaltyConfig(penalize_org_identity=True)
+        charged = registry.penalize(NO_DUA_REQUEST, ALICE, CUSTODIAN, cfg)
+        assert charged == [
+            (ALICE, Decimal("1"), Decimal("0.98")),
+            (ORG, Decimal("1"), Decimal("0.98")),
+        ]
+        assert registry.get(CUSTODIAN).credibility == Decimal("1")
+
+    def test_user_kind_under_grace_charges_nothing_and_does_not_lock(self):
+        registry = make_registry()
+        registry.set_score(ORG, IDENTITY, "0.01")
+        cfg = PenaltyConfig(tolerance_grace=1, penalize_org_identity=True)
+        (charged,) = registry.penalize(DUA_VIOLATION, ALICE, CUSTODIAN, cfg)
+        assert charged == (ALICE, Decimal("1"), Decimal("1"))
+        assert registry.get(ORG).identity == Decimal("0.01")
+        assert registry.get(ORG).locked_with == frozenset()
+        assert registry.check_lockout(CUSTODIAN, ORG) is False
+
+    def test_org_kind_charges_the_custodian(self):
+        registry = make_registry()
+        charged = registry.penalize(MISSING_PROPERTIES, ALICE, CUSTODIAN, PenaltyConfig())
+        assert charged == [(CUSTODIAN, Decimal("1"), Decimal("0.99"))]
+        assert registry.get(ALICE).behavior == Decimal("1")
+
+    @pytest.mark.parametrize("kind, principal, score", [
+        (MISSING_CATEGORY, CUSTODIAN, CREDIBILITY_SCORE),
+        (NO_DUA_REQUEST, ORG, IDENTITY),
+    ])
+    def test_reaching_zero_locks_the_pair_once_without_check_lockout(
+        self, monkeypatch, kind, principal, score
+    ):
+        registry = make_registry()
+        registry.set_score(principal, score, "0.02")
+        calls = Counter()
+        for name in ("check_lockout", "lock_pair"):
+            def counted(*args, _name=name, _method=getattr(TrustRegistry, name)):
+                calls[_name] += 1
+                return _method(*args)
+            monkeypatch.setattr(TrustRegistry, name, counted)
+        cfg = PenaltyConfig(penalize_org_identity=True)
+        charged = registry.penalize(kind, ALICE, CUSTODIAN, cfg)
+        assert charged[-1] == (principal, Decimal("0.02"), Decimal("0"))
+        assert calls == {"lock_pair": 1}
+        assert CUSTODIAN in registry.get(ORG).locked_with
+        assert ORG in registry.get(CUSTODIAN).locked_with
+
+    def test_unknown_kind_rejected(self):
+        registry = make_registry()
+        with pytest.raises(TrustError):
+            registry.penalize("latePayment", ALICE, CUSTODIAN, PenaltyConfig())
 
 
 class TestLockout:
