@@ -5,11 +5,12 @@ peer nodes.
 Every request executes in order: lockout check, recipient policy checks,
 custodian checks, trust assessment, grant or deny, penalties, projection
 refresh, update enqueue, transaction log, retrieval. Everything up to the
-log append runs in one section under the write side of the node's one lock,
-so the log lists decisions in the order they changed the state; retrieval
-follows under the read side. The four instrumented stages are timed with a
-monotonic clock (the two policy stages inside `PolicyEngine.evaluate`) so
-the benchmark harness measures the real code path.
+log append runs in one section under the node's one lock, so the log lists
+decisions in the order they changed the state; retrieval follows in a
+section of its own. The lock's sections run one at a time. The four
+instrumented stages are timed with a monotonic clock (the two policy stages
+inside `PolicyEngine.evaluate`) so the benchmark harness measures the real
+code path.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import socket
 import threading
 import time
 import urllib.request
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from decimal import Decimal
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -79,39 +79,19 @@ class RequestTooLargeError(MiddlewareError):
 
 
 class RWLock:
-    """Many readers or one writer."""
+    """One plain lock: `read()` and `write()` both return it, so every
+    locked section runs alone. The two names say what a section does to
+    the state, and the benchmark's tracer (`perfbench/traced_serve.py`)
+    times entry to each of them by name."""
 
     def __init__(self):
-        self._cond = threading.Condition()
-        self._readers = 0
-        self._writer = False
+        self._lock = threading.Lock()
 
-    @contextmanager
     def read(self):
-        with self._cond:
-            while self._writer:
-                self._cond.wait()
-            self._readers += 1
-        try:
-            yield
-        finally:
-            with self._cond:
-                self._readers -= 1
-                if self._readers == 0:
-                    self._cond.notify_all()
+        return self._lock
 
-    @contextmanager
     def write(self):
-        with self._cond:
-            while self._writer or self._readers:
-                self._cond.wait()
-            self._writer = True
-        try:
-            yield
-        finally:
-            with self._cond:
-                self._writer = False
-                self._cond.notify_all()
+        return self._lock
 
 
 @dataclass(frozen=True)
@@ -363,8 +343,9 @@ class ExchangeMiddleware:
         self.peers = list(peers)
         self._log_file = open(log_path, "a", encoding="utf-8") if log_path else None
         self._http_timeout = http_timeout
-        # the node's one lock: requests decide and commit under its write
-        # side; retrieval and the propagation snapshot read under its read side
+        # the node's one lock, whose sections run one at a time: requests
+        # decide and commit in one section, retrieval and the propagation
+        # snapshot read in sections of their own
         self._lock = RWLock()
         # the queue holds the update stream from _pending_base on; a peer's
         # cursor counts the updates it acknowledged from the stream's start
@@ -512,7 +493,7 @@ class ExchangeMiddleware:
     # -- score propagation -----------------------------------------------------
 
     def _enqueue(self, events) -> None:
-        """Queue committed score events for the peers, under the write lock."""
+        """Queue committed score events for the peers, under the node lock."""
         if not self.peers or not events:
             return
         for principal, score, value, version in events:

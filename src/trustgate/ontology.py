@@ -262,16 +262,6 @@ class DuaRecord:
         return self.iri + "/securityPlan"
 
 
-def _category_object(value: str) -> Term:
-    # requested-data objects are stored as plain literals of the absolute
-    # category IRI, matching how the policy texts write them
-    return plain(value)
-
-
-def _str_of(term: Term) -> str:
-    return term.lexical
-
-
 def write_dua(graph: Graph, record: DuaRecord) -> int:
     """Replace all triples rooted at the record's IRI with the record's view.
 
@@ -305,7 +295,9 @@ def write_dua(graph: Graph, record: DuaRecord) -> int:
     put(subject, HAS_DATA_CUSTODIAN, iri(record.custodian))
     put(subject, HAS_RECIPIENT, iri(record.recipient))
     for category in sorted(record.requested_data):
-        put(subject, REQUESTED_DATA, _category_object(category))
+        # requested-data objects are stored as plain literals of the absolute
+        # category IRI, matching how the policy texts write them
+        put(subject, REQUESTED_DATA, plain(category))
     for purpose in sorted(record.permitted_use):
         put(subject, HAS_PERMITTED_USE, iri(purpose))
     if record.term or record.termination_effect or record.termination_cause:
@@ -357,8 +349,8 @@ def read_dua(graph: Graph, dua_iri: str) -> DuaRecord:
     recipient = _single_object(graph, subject, HAS_RECIPIENT, warnings, "recipient")
     if custodian and custodian == recipient:
         raise DuaIntegrityError(f"{dua_iri}: custodian and recipient coincide")
-    requested = frozenset(_str_of(o) for o in graph.objects_for(subject, REQUESTED_DATA))
-    permitted = frozenset(_str_of(o) for o in graph.objects_for(subject, HAS_PERMITTED_USE))
+    requested = frozenset(o.lexical for o in graph.objects_for(subject, REQUESTED_DATA))
+    permitted = frozenset(o.lexical for o in graph.objects_for(subject, HAS_PERMITTED_USE))
 
     sections = {"term": "", "termination_effect": "", "termination_cause": "",
                 "storage": "", "access": "", "protections": ""}

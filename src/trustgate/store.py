@@ -243,8 +243,9 @@ class Graph:
     and `_pos[p][o]` the subjects: a bare `Term` while there is one, a dict
     (members as keys) from two on, since almost every subject has one value
     per predicate and a one-entry dict costs about 220 bytes. Passive with
-    respect to locking: callers enforce the many-readers / one-writer
-    contract.
+    respect to locking: callers serialize access, as `ExchangeMiddleware`
+    does by reading and writing only inside its one lock's sections, which
+    run one at a time.
 
     `_unsorted` holds the `(p, o)` key of every POS dict leaf whose subjects
     may be out of lexical order; a dict leaf whose key is absent iterates in

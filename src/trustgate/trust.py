@@ -223,9 +223,9 @@ class TrustRegistry:
     """Holds the authoritative records.
 
     The registry takes no lock: its owner serializes access, as
-    `ExchangeMiddleware` does by making every mutation under its node lock's
-    write side. Every mutation refreshes that principal's projected score
-    triples in the graph.
+    `ExchangeMiddleware` does by making every mutation inside a section of
+    its one node lock, whose sections run one at a time. Every mutation
+    refreshes that principal's projected score triples in the graph.
     """
 
     def __init__(self, graph: Graph):
@@ -397,12 +397,15 @@ class TrustRegistry:
 
     def apply_remote(self, principal_iri: str, score_name: str, value, version: int) -> bool:
         """Apply a propagated score if its version is newer; stale or
-        duplicate versions are ignored. Unknown principals are auto-registered.
+        duplicate versions are ignored. An unknown principal is registered
+        by the first update that applies to it.
         """
         if score_name not in SCORE_NAMES:
             raise TrustError(f"unknown score name: {score_name}")
         score = as_score(value)
         record = self._records.get(principal_iri)
+        if version <= (0 if record is None else record.version):
+            return False
         if record is None:
             kind = USER if score_name == BEHAVIOR else ORGANIZATION
             ref = PrincipalRef(iri=principal_iri, kind=kind)
@@ -411,9 +414,6 @@ class TrustRegistry:
                 if kind == USER
                 else TrustRecord(ref, behavior=None, identity=ONE, credibility=ONE, version=0)
             )
-            self._records[principal_iri] = record
-        if version <= record.version:
-            return False
         self._commit(replace(record, **{score_name: score}, version=version))
         return True
 

@@ -601,6 +601,47 @@ class TestConcurrency:
             for value in record["scores"].values():
                 assert 0.0 <= float(value) <= 1.0
 
+    def test_lock_sections_run_one_at_a_time(self, service, demo_manifest, demo_spec):
+        lock = service._lock
+        results = []
+
+        # a score write waits for a held read section
+        update = ScoreUpdate(user(demo_manifest, 3), "behavior", "0.7", 10, "node-b")
+        writer = threading.Thread(target=lambda: results.append(service.receive_scores([update])))
+        with lock.read():
+            writer.start()
+            writer.join(timeout=0.2)
+            assert writer.is_alive()
+            assert service.trust_record_dict(update.principal)["scores"]["behavior"] == "1.0"
+        writer.join(timeout=10)
+        assert not writer.is_alive() and results == [1]
+
+        # a grant's retrieval waits for a write section taken between the
+        # request's commit and its retrieval
+        class Gate:
+            arrived, held = threading.Event(), threading.Event()
+
+            def write(self):
+                return lock.write()
+
+            def read(self):
+                self.arrived.set()
+                self.held.wait(timeout=10)
+                return lock.read()
+
+        gate = service._lock = Gate()
+        request = service.build_request(user(demo_manifest, 0), PATIENT, PUBLIC_HEALTH)
+        reader = threading.Thread(target=lambda: results.append(service.handle_request(request)))
+        reader.start()
+        assert gate.arrived.wait(timeout=10)
+        with lock.write():
+            gate.held.set()
+            reader.join(timeout=0.2)
+            assert reader.is_alive()
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert len(results[1].records) == demo_spec.patient_count
+
     @staticmethod
     def run_threads(target, count):
         """`target(k)` on `count` threads, switching as often as the

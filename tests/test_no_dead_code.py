@@ -52,11 +52,13 @@ def _constants():
 
 def _words():
     """How often each word appears in src/, tests/ and perfbench/, this file
-    aside."""
+    and the package root aside: a name that is only re-exported is not
+    used."""
+    skipped = {Path(__file__).resolve(), (PACKAGE / "__init__.py").resolve()}
     words = Counter()
     for folder in ("src", "tests", "perfbench"):
         for path in (ROOT / folder).rglob("*.py"):
-            if path.resolve() != Path(__file__).resolve():
+            if path.resolve() not in skipped:
                 words.update(re.findall(r"\w+", path.read_text(encoding="utf-8")))
     return words
 

@@ -360,6 +360,16 @@ class TestReplication:
         assert registry.apply_remote(stranger, BEHAVIOR, "0.8", version=2) is True
         assert registry.get(stranger).principal.kind == USER
 
+    def test_stale_update_registers_no_principal(self):
+        registry = make_registry()
+        before = registry.snapshot()
+        stranger = "http://example.org/x"
+        assert registry.apply_remote(stranger, BEHAVIOR, "0.5", 0) is False
+        assert not registry.is_registered(stranger)
+        assert registry.snapshot() == before
+        assert registry.apply_remote(stranger, BEHAVIOR, "0.5", 1) is True
+        assert registry.is_registered(stranger)
+
 
 class TestGraphProjection:
     def test_projection_tracks_mutations(self):
