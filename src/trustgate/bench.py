@@ -26,13 +26,7 @@ from .ontology import bootstrap_vocabulary
 from .policy import DataRequest
 from .store import Graph, SYN_NS
 from .synth import GeneratorSpec, demographics_manifest, generate_dataset
-from .trust import (
-    BEHAVIOR,
-    CREDIBILITY_SCORE,
-    AssessmentConfig,
-    PenaltyConfig,
-    canonical_score,
-)
+from .trust import BEHAVIOR, CREDIBILITY_SCORE, canonical_score
 
 # CSV row labels for the four instrumented stages
 STAGE_LABELS = {
@@ -239,9 +233,6 @@ def run_trajectory(
     seed: int = 1,
     cap: int = 100_000,
     scenarios: Iterable[str] = SCENARIOS,
-    penalties: Optional[PenaltyConfig] = None,
-    assessment: Optional[AssessmentConfig] = None,
-    patients: int = 20,
 ) -> TrajectoryReport:
     """Simulate score trajectories through the real request cycle.
 
@@ -250,17 +241,13 @@ def run_trajectory(
     when the tracked score reaches exactly zero (or at the cap); the series
     records the starting point and every change.
     """
-    spec = GeneratorSpec(seed=seed, patient_count=patients)
+    spec = GeneratorSpec(seed=seed, patient_count=20)
     graph = Graph()
     bootstrap_vocabulary(graph)
     generate_dataset(
         spec, into=graph, strip_property_categories=[SYN_NS + "Observation"]
     )
-    service = ExchangeMiddleware(
-        graph,
-        penalties=penalties or PenaltyConfig(),
-        assessment=assessment or AssessmentConfig(),
-    )
+    service = ExchangeMiddleware(graph)
     manifest = demographics_manifest(spec)
     wiring = _wire_scenarios(service, manifest)
     registry = service.registry

@@ -21,10 +21,9 @@ from .synth import GeneratorSpec, generate_dataset
 logger = logging.getLogger(__name__)
 
 
-def _load_graph(path: str, bootstrap: bool = True) -> Graph:
+def _load_graph(path: str) -> Graph:
     graph = Graph()
-    if bootstrap:
-        bootstrap_vocabulary(graph)
+    bootstrap_vocabulary(graph)
     with open(path, encoding="utf-8") as handle:
         load_lines(graph, handle)
     return graph

@@ -360,26 +360,19 @@ class ExchangeMiddleware:
 
     def _register_principals(self) -> None:
         graph = self.graph
+
+        def first(subject, prop, default):
+            return next((o.lexical for o in graph.objects_for(subject, prop)), default)
+
         for org in graph.subjects_for(vocab.RDF_TYPE, vocab.SYN_ORGANIZATION):
-            label = ""
-            for value in graph.objects_for(org, vocab.RDFS_LABEL):
-                label = value.lexical
-                break
-            self.registry.register(
-                PrincipalRef(iri=org.lexical, kind=vocab.ORGANIZATION, label=label)
-            )
+            self.registry.register(PrincipalRef(
+                iri=org.lexical, kind=vocab.ORGANIZATION, label=first(org, vocab.RDFS_LABEL, "")
+            ))
         for user in graph.subjects_for(vocab.RDF_TYPE, vocab.TST_USER):
-            label = ""
-            affiliation = None
-            for value in graph.objects_for(user, vocab.RDFS_LABEL):
-                label = value.lexical
-                break
-            for value in graph.objects_for(user, vocab.IS_AFFILIATED_WITH):
-                affiliation = value.lexical
-                break
-            self.registry.register(
-                PrincipalRef(iri=user.lexical, kind=vocab.USER, label=label, affiliation=affiliation)
-            )
+            self.registry.register(PrincipalRef(
+                iri=user.lexical, kind=vocab.USER, label=first(user, vocab.RDFS_LABEL, ""),
+                affiliation=first(user, vocab.IS_AFFILIATED_WITH, None),
+            ))
 
     def build_request(self, user_iri: str, category: str, purpose: str,
                       request_id: Optional[str] = None) -> DataRequest:
@@ -589,15 +582,7 @@ class ExchangeMiddleware:
         }
 
     def trust_record_dict(self, principal_iri: str) -> dict:
-        record = self.registry.get(principal_iri)
-        return {
-            "principal": record.principal.iri,
-            "kind": record.principal.kind,
-            "label": record.principal.label,
-            "version": record.version,
-            "scores": {name: canonical_score(value) for name, value in record.scores().items()},
-            "lockedWith": sorted(record.locked_with),
-        }
+        return self.registry.get(principal_iri).to_dict()
 
     # -- transaction log --------------------------------------------------------
 

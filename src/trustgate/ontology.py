@@ -212,20 +212,6 @@ class PrincipalRef:
             raise OntologyError("organizations carry no affiliation")
 
 
-@dataclass(frozen=True)
-class DataCategoryRef:
-    """A data-category class declared by the bootstrapped vocabulary."""
-
-    iri: str
-
-    def __post_init__(self):
-        if all(self.iri != c.lexical for c in DATA_CATEGORIES):
-            raise OntologyError(f"undeclared data category: {self.iri}")
-
-    def term(self) -> Term:
-        return iri(self.iri)
-
-
 @dataclass
 class DuaRecord:
     """Typed view of one usage-agreement individual."""
@@ -255,18 +241,27 @@ class DuaRecord:
         if not self.requested_data:
             raise DuaIntegrityError(f"{self.iri}: requested data categories must not be empty")
 
-    def terms_node(self) -> str:
-        return self.iri + "/terms"
 
-    def plan_node(self) -> str:
-        return self.iri + "/securityPlan"
+# the agreement's two sections, in the order they are written: the link
+# property, the section node's class, the node's IRI suffix, the name a
+# missing section is reported under, and its (DuaRecord field, property) pairs
+_DUA_SECTIONS = (
+    (HAS_TERM_AND_TERMINATION, TERM_AND_TERMINATION, "/terms", "term-and-termination",
+     (("term", DP_TERM), ("termination_effect", DP_TERMINATION_EFFECT),
+      ("termination_cause", DP_TERMINATION_CAUSE))),
+    (HAS_DATA_SECURITY_PLAN, DATA_SECURITY_PLAN, "/securityPlan", "data-security-plan",
+     (("storage", DP_STORAGE), ("access", DP_ACCESS), ("protections", DP_PROTECTIONS))),
+)
 
 
 def write_dua(graph: Graph, record: DuaRecord) -> int:
-    """Replace all triples rooted at the record's IRI with the record's view.
+    """Replace all triples rooted at the record's IRI, and at its section
+    nodes, with the record's view.
 
-    The record is validated first, and an IRI already typed as anything but
-    an agreement is refused; either failure leaves the graph untouched.
+    A section of `_DUA_SECTIONS` is written only if one of its fields is
+    set, as a node at the agreement's IRI plus the section's suffix. The
+    record is validated first, and an IRI already typed as anything but an
+    agreement is refused; either failure leaves the graph untouched.
     Returns the number of triples written.
     """
     record.validate()
@@ -274,9 +269,7 @@ def write_dua(graph: Graph, record: DuaRecord) -> int:
     if any(t != DUA_CLASS for t in graph.objects_for(subject, RDF_TYPE)):
         raise OntologyError(f"{record.iri} is not an agreement")
     old_children = [
-        obj
-        for prop in (HAS_TERM_AND_TERMINATION, HAS_DATA_SECURITY_PLAN)
-        for obj in graph.objects_for(subject, prop)
+        obj for link, *_ in _DUA_SECTIONS for obj in graph.objects_for(subject, link)
     ]
     victims = []
     for root in [subject] + old_children:
@@ -300,26 +293,15 @@ def write_dua(graph: Graph, record: DuaRecord) -> int:
         put(subject, REQUESTED_DATA, plain(category))
     for purpose in sorted(record.permitted_use):
         put(subject, HAS_PERMITTED_USE, iri(purpose))
-    if record.term or record.termination_effect or record.termination_cause:
-        node = iri(record.terms_node())
-        put(subject, HAS_TERM_AND_TERMINATION, node)
-        put(node, RDF_TYPE, TERM_AND_TERMINATION)
-        if record.term:
-            put(node, DP_TERM, plain(record.term))
-        if record.termination_effect:
-            put(node, DP_TERMINATION_EFFECT, plain(record.termination_effect))
-        if record.termination_cause:
-            put(node, DP_TERMINATION_CAUSE, plain(record.termination_cause))
-    if record.storage or record.access or record.protections:
-        node = iri(record.plan_node())
-        put(subject, HAS_DATA_SECURITY_PLAN, node)
-        put(node, RDF_TYPE, DATA_SECURITY_PLAN)
-        if record.storage:
-            put(node, DP_STORAGE, plain(record.storage))
-        if record.access:
-            put(node, DP_ACCESS, plain(record.access))
-        if record.protections:
-            put(node, DP_PROTECTIONS, plain(record.protections))
+    for link, cls, suffix, _, fields in _DUA_SECTIONS:
+        values = [(prop, getattr(record, name)) for name, prop in fields]
+        if any(value for _, value in values):
+            node = iri(record.iri + suffix)
+            put(subject, link, node)
+            put(node, RDF_TYPE, cls)
+            for prop, value in values:
+                if value:
+                    put(node, prop, plain(value))
     for t in victims:
         graph.remove(t)
     return graph.add_all(fresh)
@@ -338,8 +320,11 @@ def _single_object(graph: Graph, subject: Term, prop: Term, warnings: list[str],
 def read_dua(graph: Graph, dua_iri: str) -> DuaRecord:
     """Materialize a DuaRecord from the graph.
 
-    Raises DuaNotFoundError if the IRI is not typed as an agreement, and
-    DuaIntegrityError if custodian and recipient coincide.
+    Each section of `_DUA_SECTIONS` is read from the first node its link
+    property names, each field from the first value of its property; a
+    section with no node is reported in `warnings`. Raises DuaNotFoundError
+    if the IRI is not typed as an agreement, and DuaIntegrityError if
+    custodian and recipient coincide.
     """
     subject = iri(dua_iri)
     if not graph.contains_spo(subject, RDF_TYPE, DUA_CLASS):
@@ -352,28 +337,14 @@ def read_dua(graph: Graph, dua_iri: str) -> DuaRecord:
     requested = frozenset(o.lexical for o in graph.objects_for(subject, REQUESTED_DATA))
     permitted = frozenset(o.lexical for o in graph.objects_for(subject, HAS_PERMITTED_USE))
 
-    sections = {"term": "", "termination_effect": "", "termination_cause": "",
-                "storage": "", "access": "", "protections": ""}
-    terms_nodes = list(graph.objects_for(subject, HAS_TERM_AND_TERMINATION))
-    if terms_nodes:
-        node = terms_nodes[0]
-        for key, prop in (("term", DP_TERM), ("termination_effect", DP_TERMINATION_EFFECT),
-                          ("termination_cause", DP_TERMINATION_CAUSE)):
-            for o in graph.objects_for(node, prop):
-                sections[key] = o.lexical
-                break
-    else:
-        warnings.append("missing term-and-termination section")
-    plan_nodes = list(graph.objects_for(subject, HAS_DATA_SECURITY_PLAN))
-    if plan_nodes:
-        node = plan_nodes[0]
-        for key, prop in (("storage", DP_STORAGE), ("access", DP_ACCESS),
-                          ("protections", DP_PROTECTIONS)):
-            for o in graph.objects_for(node, prop):
-                sections[key] = o.lexical
-                break
-    else:
-        warnings.append("missing data-security-plan section")
+    sections = {}
+    for link, _, _, what, fields in _DUA_SECTIONS:
+        node = next(iter(graph.objects_for(subject, link)), None)
+        if node is None:
+            warnings.append(f"missing {what} section")
+            continue
+        for name, prop in fields:
+            sections[name] = next((o.lexical for o in graph.objects_for(node, prop)), "")
 
     return DuaRecord(
         iri=dua_iri,

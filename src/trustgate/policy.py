@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import ontology as vocab
-from .ontology import DataCategoryRef, PrincipalRef
+from .ontology import OntologyError, PrincipalRef
 from .query import QueryAst, compile_plan, eval_ask, parse
 from .store import Graph, Term, iri
 from .trust import (
@@ -190,7 +190,8 @@ class DataRequest:
     timestamp: float = field(default_factory=time.time)
 
     def __post_init__(self):
-        DataCategoryRef(self.category)
+        if all(self.category != c.lexical for c in vocab.DATA_CATEGORIES):
+            raise OntologyError(f"undeclared data category: {self.category}")
         if all(self.purpose != p.lexical for p in vocab.PERMITTED_USE_INDIVIDUALS):
             raise PolicyError(f"purpose is not a permitted-use individual: {self.purpose}")
         if self.user.kind != vocab.USER:
@@ -242,8 +243,8 @@ _TABLE_LIMIT = 8192
 
 class _Compiled:
     """One instantiated query (or the completeness probe, with no AST): the
-    ground predicates it reads, its join plan with the graph size the plan
-    was built at, and its last (fingerprint, outcome).
+    ground predicates it reads, the join plan made at its first evaluation,
+    and its last (fingerprint, outcome). Results never depend on the plan.
 
     The last outcome is one tuple, so a racing reader never pairs one
     fingerprint with another's outcome; fingerprints only grow, so keeping
@@ -255,7 +256,7 @@ class _Compiled:
     def __init__(self, ast: Optional[QueryAst], deps: Optional[tuple]):
         self.ast = ast
         self.deps = deps
-        self.plan: Optional[tuple[list, int]] = None
+        self.plan: Optional[list] = None
         self.last: Optional[tuple] = None
 
 
@@ -351,13 +352,9 @@ class PolicyEngine:
         return self._outcome(key, compile, self._run_ask)
 
     def _run_ask(self, entry: _Compiled) -> bool:
-        # join plans are stable while the graph's shape is; recompute when
-        # its size drifts past 2x either way
-        size = len(self.graph)
-        plan = entry.plan
-        if plan is None or size > 2 * plan[1] or plan[1] > 2 * size:
-            entry.plan = plan = (compile_plan(entry.ast, self.graph), size)
-        return eval_ask(entry.ast, self.graph, plan=plan[0])
+        if entry.plan is None:
+            entry.plan = compile_plan(entry.ast, self.graph)
+        return eval_ask(entry.ast, self.graph, plan=entry.plan)
 
     def custodian_inventory(self, custodian_iri: str) -> list[str]:
         values = [

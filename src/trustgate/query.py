@@ -21,6 +21,7 @@ from .store import (
     Triple,
     TriplePattern,
     Var,
+    _UNESCAPES,
     iri,
     plain,
     typed,
@@ -81,9 +82,6 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-_STRING_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
-
-
 @dataclass
 class _Token:
     kind: str
@@ -124,9 +122,9 @@ def _unescape_string(raw: str, line: int, column: int) -> str:
         c = body[i]
         if c == "\\":
             esc = body[i + 1]
-            if esc not in _STRING_ESCAPES:
+            if esc not in _UNESCAPES:
                 raise ParseError(f"unknown escape sequence \\{esc}", line, column)
-            out.append(_STRING_ESCAPES[esc])
+            out.append(_UNESCAPES[esc])
             i += 2
         else:
             out.append(c)
@@ -405,7 +403,7 @@ class _Parser:
 
     def parse_filter(self) -> FilterExpr:
         self.expect_punct("(")
-        lhs_var, lhs_str = self.parse_operand(require_var=True)
+        lhs_var, lhs_str = self.parse_operand()
         tok = self.next()
         if tok.kind == "PUNCT" and tok.value == "=":
             operator = "equals"
@@ -433,7 +431,7 @@ class _Parser:
         self.expect_punct(")")
         return FilterExpr(operator, lhs_var, rhs_terms, string_mode=lhs_str or rhs_str)
 
-    def parse_operand(self, require_var: bool) -> tuple[str, bool]:
+    def parse_operand(self) -> tuple[str, bool]:
         tok = self.peek()
         wrapped = False
         if tok.kind == "WORD" and tok.value.upper() == "STR":

@@ -129,6 +129,17 @@ class TrustRecord:
             name: value for name in SCORE_NAMES if (value := getattr(self, name)) is not None
         }
 
+    def to_dict(self) -> dict:
+        """The record as `GET /trust` sends it."""
+        return {
+            "principal": self.principal.iri,
+            "kind": self.principal.kind,
+            "label": self.principal.label,
+            "version": self.version,
+            "scores": {name: canonical_score(value) for name, value in self.scores().items()},
+            "lockedWith": sorted(self.locked_with),
+        }
+
 
 @dataclass(frozen=True)
 class Assessment:
@@ -429,17 +440,9 @@ class TrustRegistry:
         return events
 
     def snapshot(self) -> dict[str, dict]:
-        """Canonical view used for replay and convergence comparison."""
-        out = {}
-        for principal_iri, record in sorted(self._records.items()):
-            scores = {name: canonical_score(value) for name, value in record.scores().items()}
-            out[principal_iri] = {
-                "kind": record.principal.kind,
-                "version": record.version,
-                "scores": scores,
-                "locked_with": sorted(record.locked_with),
-            }
-        return out
+        """Every record's `to_dict()` view by principal IRI, in IRI order:
+        the canonical view used for replay and convergence comparison."""
+        return {p: record.to_dict() for p, record in sorted(self._records.items())}
 
     # -- internals -----------------------------------------------------------
 

@@ -1,7 +1,8 @@
 """Every module-level function, class and UPPER_CASE constant of the
 package, and every method, is named somewhere besides its own definition: in
 the package, the tests or the benchmark. A name that appears nowhere else is
-code no caller runs."""
+code no caller runs. Every parameter of every function of the package is
+read in that function's body."""
 
 import ast
 import re
@@ -11,7 +12,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "trustgate"
 
-# hooks that BaseHTTPRequestHandler calls by name
+# hooks that BaseHTTPRequestHandler calls by name, with the parameters it passes
 HANDLER_HOOKS = {"do_GET", "do_POST", "log_message", "send_error"}
 
 CONSTANT_NAME = re.compile(r"_?[A-Z][A-Z0-9_]*")
@@ -85,3 +86,33 @@ def test_every_constant_is_named_elsewhere():
         f"{module}: {name}" for module, name in set(constants) if words[name] <= assigned[name]
     )
     assert not unused, "assigned but named nowhere else:\n" + "\n".join(unused)
+
+
+def _unread_parameters():
+    """(module, function, parameter) for each parameter of a function or
+    method, nested ones too, that its body never reads, `self` and `cls`
+    aside; a read in a nested function counts."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if node.name in HANDLER_HOOKS:
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [a for a in (args.vararg, args.kwarg) if a is not None]
+            read = {
+                n.id
+                for statement in node.body
+                for n in ast.walk(statement)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            for param in params:
+                if param.arg not in ("self", "cls") and param.arg not in read:
+                    yield path.name, node.name, param.arg
+
+
+def test_every_parameter_is_read():
+    unread = [f"{module}: {name}({param})" for module, name, param in _unread_parameters()]
+    assert not unread, "parameters never read:\n" + "\n".join(unread)

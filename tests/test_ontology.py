@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from trustgate.ontology import (
@@ -7,7 +9,6 @@ from trustgate.ontology import (
     RDF_TYPE,
     RDFS_CLASS,
     SYN_ORGANIZATION,
-    DataCategoryRef,
     DuaIntegrityError,
     DuaNotFoundError,
     DuaRecord,
@@ -81,16 +82,6 @@ class TestPrincipalRef:
             PrincipalRef(iri=SYN_NS + "x", kind="robot")
 
 
-class TestDataCategoryRef:
-    def test_declared_category_ok(self):
-        ref = DataCategoryRef(SYN_NS + "Patient")
-        assert ref.term().lexical == SYN_NS + "Patient"
-
-    def test_undeclared_category_rejected(self):
-        with pytest.raises(OntologyError):
-            DataCategoryRef(SYN_NS + "Starship")
-
-
 def sample_dua(**overrides):
     fields = dict(
         iri=SYN_NS + "dua_01",
@@ -107,6 +98,22 @@ def sample_dua(**overrides):
     )
     fields.update(overrides)
     return DuaRecord(**fields)
+
+
+# each section's fields with the agreement-schema property that holds them
+SECTION_FIELDS = {
+    "term": "term",
+    "termination_effect": "terminationEffect",
+    "termination_cause": "terminationCause",
+    "storage": "storage",
+    "access": "access",
+    "protections": "protections",
+}
+SECTIONS = {
+    "term-and-termination": ("term", "termination_effect", "termination_cause"),
+    "data-security-plan": ("storage", "access", "protections"),
+}
+SECTION_SUFFIXES = {"term-and-termination": "/terms", "data-security-plan": "/securityPlan"}
 
 
 class TestDuaRoundTrip:
@@ -158,6 +165,26 @@ class TestDuaRoundTrip:
         got = read_dua(g, SYN_NS + "dua_01")
         assert got.storage == ""
         assert any("security" in w for w in got.warnings)
+
+    @pytest.mark.parametrize("chosen", [
+        chosen for n in range(len(SECTION_FIELDS) + 1) for chosen in combinations(SECTION_FIELDS, n)
+    ])
+    def test_round_trip_over_every_subset_of_section_fields(self, chosen):
+        g = Graph()
+        record = sample_dua(**{name: "" for name in SECTION_FIELDS if name not in chosen})
+        written = write_dua(g, record)
+        got = read_dua(g, record.iri)
+        assert got == record
+        for name in chosen:
+            section = next(s for s, fields in SECTIONS.items() if name in fields)
+            node = iri(record.iri + SECTION_SUFFIXES[section])
+            prop = iri(DUA_NS + SECTION_FIELDS[name])
+            assert Triple(node, prop, plain(getattr(record, name))) in g
+        present = [s for s, fields in SECTIONS.items() if any(f in chosen for f in fields)]
+        assert got.warnings == [f"missing {s} section" for s in SECTIONS if s not in present]
+        expected = 3 + len(record.requested_data) + len(record.permitted_use)
+        expected += sum(2 + sum(f in chosen for f in SECTIONS[s]) for s in present)
+        assert written == expected
 
     def test_non_dua_iri_not_found(self):
         g = Graph()

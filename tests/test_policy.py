@@ -6,7 +6,7 @@ import pytest
 
 from trustgate import ontology as vocab
 from trustgate import policy as policy_module
-from trustgate.ontology import DuaRecord, write_dua
+from trustgate.ontology import DuaRecord, OntologyError, write_dua
 from trustgate.policy import (
     P_CUSTODIAN_HAS_CATEGORY,
     P_DUA_EXISTS,
@@ -331,12 +331,15 @@ class TestCompletenessProbe:
 
 class TestRequestValidation:
     def test_unknown_category_rejected(self, demo_manifest):
-        with pytest.raises(Exception):
+        with pytest.raises(OntologyError, match="undeclared data category"):
             request_for(demo_manifest, 0, SYN_NS + "Starship", PUBLIC_HEALTH)
 
     def test_unknown_purpose_rejected(self, demo_manifest):
         with pytest.raises(PolicyError):
             request_for(demo_manifest, 0, PATIENT, SYN_NS + "Fun")
+
+    def test_declared_category_accepted(self, demo_manifest):
+        assert request_for(demo_manifest, 0, PATIENT, PUBLIC_HEALTH).category == PATIENT
 
 
 class TestPolicyDir:
