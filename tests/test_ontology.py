@@ -3,12 +3,15 @@ from itertools import combinations
 import pytest
 
 from trustgate.ontology import (
+    DATA_CATEGORIES,
     DUA_CLASS,
     PERMITTED_USE_CLASS,
     PERMITTED_USE_INDIVIDUALS,
+    PUBLIC_HEALTH,
     RDF_TYPE,
     RDFS_CLASS,
     SYN_ORGANIZATION,
+    USER,
     DuaIntegrityError,
     DuaNotFoundError,
     DuaRecord,
@@ -19,6 +22,7 @@ from trustgate.ontology import (
     validate_instances,
     write_dua,
 )
+from trustgate.policy import DataRequest
 from trustgate.store import (
     DUA_NS,
     SYN_NS,
@@ -81,6 +85,23 @@ class TestPrincipalRef:
         with pytest.raises(OntologyError):
             PrincipalRef(iri=SYN_NS + "x", kind="robot")
 
+
+
+class TestDataCategoryRef:
+    """A request names its data category; only the categories the
+    bootstrapped vocabulary declares are accepted."""
+
+    @staticmethod
+    def request(category):
+        user = PrincipalRef(iri=SYN_NS + "user_01", kind=USER, affiliation=SYN_NS + "org_01")
+        return DataRequest(user=user, custodian=SYN_NS + "org_02", category=category,
+                           purpose=PUBLIC_HEALTH.lexical)
+
+    def test_undeclared_category_rejected(self):
+        for category in DATA_CATEGORIES:
+            assert self.request(category.lexical).category == category.lexical
+        with pytest.raises(OntologyError, match="undeclared data category"):
+            self.request(SYN_NS + "Starship")
 
 def sample_dua(**overrides):
     fields = dict(
