@@ -38,8 +38,9 @@ from .policy import (
     PolicyError,
     PolicyTemplate,
 )
-from .query import RDF_TYPE, SELECT, BindingSet, QueryAst, eval_select
-from .store import Graph, StoreError, TermError, TriplePattern, Var, iri, json_term
+from .query import RDF_TYPE, BindingSet
+from .query import eval_select  # not called here; perfbench/traced_serve.py wraps it by name
+from .store import Graph, StoreError, TermError, iri, json_term
 from .trust import (
     SCORE_NAMES,
     AssessmentConfig,
@@ -187,17 +188,32 @@ class AccessDecision:
         }
 
 
+class JsonRows:
+    """A retrieval's result as the reply writes it: each row the bytes of
+    its one-element JSON array, in the result's order."""
+
+    __slots__ = ("rows",)
+    variables = ("x",)
+
+    def __init__(self, rows: list[bytes]):
+        self.rows = rows
+
+    def __len__(self):
+        return len(self.rows)
+
+
 @dataclass(frozen=True)
 class DataResponse:
     request_id: str
     decision: AccessDecision
-    records: Optional[BindingSet]
+    records: Optional[JsonRows | BindingSet]
     custodian_notices: tuple[dict, ...]
     timings: dict[str, float]
 
-    def to_json(self) -> str:
-        """The reply body: the text `json.dumps` gives for this response,
-        with each row written from its terms' memoized JSON text."""
+    def body(self) -> list[bytes]:
+        """The reply body as byte chunks, which join to the UTF-8 of the text
+        `json.dumps` gives for this response. The rows are one chunk, joined
+        from their JSON bytes; no text of the whole body is built."""
         dumps = json.dumps
         head = (
             f'{{"requestId": {dumps(self.request_id)}, '
@@ -207,31 +223,27 @@ class DataResponse:
             f', "custodianNotices": {dumps(self.custodian_notices)}, '
             f'"timings": {dumps(self.timings)}}}'
         )
-        if self.records is None:
-            return head + "null" + tail
-        head += f'{{"variables": {dumps(self.records.variables)}, "rows": '
-        texts = _row_texts(self.records)
-        if not texts:
-            return head + "[]}" + tail
-        # one join builds the whole body, so no second copy of the rows is made
-        texts[0] = head + "[[" + texts[0]
-        texts[-1] += "]]}" + tail
-        return "], [".join(texts)
+        records = self.records
+        if records is None:
+            return [(head + "null" + tail).encode()]
+        head += f'{{"variables": {dumps(records.variables)}, "rows": ['
+        return [head.encode(), _row_bytes(records), ("]}" + tail).encode()]
+
+    def to_json(self) -> str:
+        """The reply body as text."""
+        return b"".join(self.body()).decode()
 
     def to_dict(self) -> dict:
         """The reply body parsed back into a dict."""
         return json.loads(self.to_json())
 
 
-def _row_texts(records: BindingSet) -> list[str]:
-    """Each row's JSON array contents: its terms' texts joined by ", "."""
-    column = records.column
-    if column is not None:
-        try:
-            return [term._json for term in column]
-        except AttributeError:  # some term has no memoized text yet
-            return list(map(json_term, column))
-    return [", ".join(map(json_term, row)) for row in records.rows]
+def _row_bytes(records: JsonRows | BindingSet) -> bytes:
+    """The rows' JSON arrays joined by ", "; a `BindingSet`'s from its
+    terms' memoized JSON texts."""
+    if isinstance(records, JsonRows):
+        return b", ".join(records.rows)
+    return ", ".join(f"[{', '.join(map(json_term, row))}]" for row in records.rows).encode()
 
 
 def _body_slices(updates: list[ScoreUpdate]) -> Iterable[list[dict]]:
@@ -286,8 +298,9 @@ def _request_from_dict(data: dict) -> DataRequest:
         affiliation=None if org is None else _text(data, "userOrg"),
     )
     kwargs = {}
-    if data.get("requestId"):
-        kwargs["request_id"] = _text(data, "requestId")
+    # an empty or null requestId asks for a fresh one, as an absent one does
+    if data.get("requestId") is not None and _text(data, "requestId"):
+        kwargs["request_id"] = data["requestId"]
     timestamp = data.get("timestamp")
     if timestamp is not None:
         if not isinstance(timestamp, (int, float)) or isinstance(timestamp, bool):
@@ -476,12 +489,10 @@ class ExchangeMiddleware:
             timings=timings,
         )
 
-    def retrieve(self, category_iri: str) -> BindingSet:
-        """All instances of the category, one row each."""
-        ast = QueryAst(
-            SELECT, bgp=[TriplePattern(Var("x"), RDF_TYPE, iri(category_iri))], projection=["x"]
-        )
-        return eval_select(ast, self.graph)
+    def retrieve(self, category_iri: str) -> JsonRows:
+        """All instances of the category in lexical order, one row each,
+        read from the graph's current index leaf."""
+        return JsonRows(self.graph.subject_rows(RDF_TYPE, iri(category_iri)))
 
     # -- score propagation -----------------------------------------------------
 
@@ -734,19 +745,19 @@ class _Handler(BaseHTTPRequestHandler):
         self._reply(code, {"error": message or self.responses[code][0]})
 
     def _reply(self, status: int, payload) -> None:
-        """Send `payload`, a dict to encode or a body already in JSON text."""
-        text = payload if isinstance(payload, str) else json.dumps(payload)
-        body = text.encode("utf-8")
+        """Send `payload`, a dict to encode or a body already encoded as a
+        list of byte chunks."""
+        body = payload if isinstance(payload, list) else [json.dumps(payload).encode()]
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
+        self.send_header("Content-Length", str(sum(map(len, body))))
         # the status line, headers and body leave in one write; an HTTP/0.9
         # request gets the body alone
         head = b""
         if self.request_version != "HTTP/0.9":
             head = b"".join(self._headers_buffer) + b"\r\n"
             self._headers_buffer = []
-        _send_all(self.connection, [head, body])
+        _send_all(self.connection, [head, *body])
 
     def _body(self) -> dict:
         length = int(self.headers.get("Content-Length") or 0)
@@ -805,7 +816,7 @@ class _Handler(BaseHTTPRequestHandler):
             if path == "/requests":
                 request = _request_from_dict(self._fill_request(body))
                 response = service.handle_request(request)
-                self._reply(200, response.to_json())
+                self._reply(200, response.body())
             elif path == "/peers/scores":
                 updates = body.get("updates", [])
                 if not isinstance(updates, list) or not all(isinstance(u, dict) for u in updates):

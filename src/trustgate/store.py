@@ -9,7 +9,8 @@ object without the predicate. An index leaf with one member is that bare
 term; it becomes an insertion-ordered dict when a second member arrives and
 a bare term again when it is down to one, so both forms iterate in
 insertion order and capped, unsorted iteration is deterministic for a given
-build sequence.
+build sequence. A predicate-object dict leaf maps each member subject to its
+JSON row as bytes, or to None until `Graph.subject_rows` first reads it.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import io
 import re
 from decimal import Decimal, InvalidOperation
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
@@ -252,12 +254,18 @@ class Graph:
     lexical order. An insert adds the key when its subject sorts below the
     leaf's last one; a removal keeps a leaf's order and drops the key when
     the leaf shrinks to a bare term, so every key names a live dict leaf.
+
+    A POS dict leaf's value for a member is the member's JSON row as bytes
+    (`_json_row`), or None until `subject_rows` first reads the leaf. Inserts
+    append members with None, a promotion to a dict starts both members at
+    None, and filling a value keeps the key's place, so the members without
+    a row are always the leaf's tail.
     """
 
     def __init__(self):
         self._size = 0
         self._spo: dict[Term, dict[Term, Term | dict[Term, None]]] = {}
-        self._pos: dict[Term, dict[Term, Term | dict[Term, None]]] = {}
+        self._pos: dict[Term, dict[Term, Term | dict[Term, Optional[bytes]]]] = {}
         self._unsorted: set[tuple[Term, Term]] = set()
         self.version = 0
         self._pred_versions: dict[Term, int] = {}
@@ -356,6 +364,29 @@ class Graph:
             return ()
         leaf = inner.get(o)
         return () if leaf is None else _members(leaf)
+
+    def subject_rows(self, p: Term, o: Term) -> list[bytes]:
+        """The subjects of `(p, o)` in lexical order, each as its JSON row
+        `json.dumps([serialize_term(s)]).encode()`: a fresh list over the
+        current members, read from the live leaf.
+
+        A dict leaf's rows are filled from its end until the first member
+        that has one, so a read after no insert checks one value; the list is
+        then one copy of the leaf's values, and no term is touched per row.
+        A leaf that may be out of order, and a one-member leaf, are read one
+        member at a time.
+        """
+        inner = self._pos.get(p)
+        leaf = None if inner is None else inner.get(o)
+        if type(leaf) is not dict:
+            return [] if leaf is None else [_json_row(leaf)]
+        for s, row in reversed(leaf.items()):
+            if row is not None:
+                break
+            leaf[s] = _json_row(s)
+        if self._unsorted and (p, o) in self._unsorted:
+            return [leaf[s] for s in sorted(leaf, key=attrgetter("lexical"))]
+        return list(leaf.values())
 
     def subjects_sorted(self, p: Term, o: Term) -> bool:
         """True when `subjects_for(p, o)` iterates in lexical order, which
@@ -685,6 +716,12 @@ def json_term(term: Term) -> str:
     except AttributeError:
         text = term._json = encode_basestring_ascii(serialize_term(term))
         return text
+
+
+def _json_row(term: Term) -> bytes:
+    """`json.dumps([serialize_term(term)]).encode()`, without filling
+    `term._json`: a served row's bytes are its only memo."""
+    return f"[{encode_basestring_ascii(serialize_term(term))}]".encode("ascii")
 
 
 def serialize_lines(graph: Graph) -> str:

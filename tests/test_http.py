@@ -99,7 +99,11 @@ class TestEndpoints:
         assert status == 200
         expected = server.service.retrieve(PATIENT)
         assert body["records"]["variables"] == list(expected.variables)
-        assert body["records"]["rows"] == [[serialize_term(t) for t in row] for row in expected.rows]
+        # the terms come from the graph, not from the row bytes the reply was joined from
+        instances = server.service.graph.subjects_for(vocab.RDF_TYPE, iri(PATIENT))
+        terms = sorted(instances, key=lambda t: t.lexical)
+        assert len(expected) == len(terms)
+        assert body["records"]["rows"] == [[serialize_term(t)] for t in terms]
 
     def test_post_request_denied_for_no_dua_user(self, server, demo_manifest):
         status, body = http("POST", server.url + "/requests", {
@@ -250,6 +254,11 @@ class TestEndpoints:
         {"userLabel": 5},
         {"userLabel": ["x"]},
         {"requestId": ["r"]},
+        # falsy, but not strings: none of them may pass for an absent ID
+        {"requestId": 0},
+        {"requestId": False},
+        {"requestId": []},
+        {"requestId": {}},
         {"timestamp": "noon"},
     ])
     def test_wrongly_typed_request_field_is_bad_request(self, server, demo_manifest, bad):
@@ -259,6 +268,15 @@ class TestEndpoints:
         })
         assert status == 400
         assert body["error"]
+
+    @pytest.mark.parametrize("blank", ["", None])
+    def test_empty_or_null_request_id_gets_a_fresh_one(self, server, demo_manifest, blank):
+        status, body = http("POST", server.url + "/requests", {
+            "user": demo_manifest.users[0].iri, "category": PATIENT,
+            "purpose": PUBLIC_HEALTH, "requestId": blank,
+        })
+        assert status == 200
+        assert isinstance(body["requestId"], str) and body["requestId"]
 
     @pytest.mark.parametrize("bad", [
         {"requestedData": 5},

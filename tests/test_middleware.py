@@ -6,6 +6,7 @@ import threading
 import time
 from dataclasses import replace
 from decimal import Decimal
+from typing import Optional
 
 import pytest
 
@@ -233,14 +234,12 @@ class TestRetrieve:
         spec = GeneratorSpec(seed=21, patient_count=5000)
         generate_dataset(spec, into=graph)
         service = ExchangeMiddleware(graph)
-        request = service.build_request(
-            demographics_manifest(spec).users[0].iri, PATIENT, PUBLIC_HEALTH
-        )
-        response = service.handle_request(request)
+        user_iri = demographics_manifest(spec).users[0].iri
+        response = service.handle_request(service.build_request(user_iri, PATIENT, PUBLIC_HEALTH))
         response.to_json()
         gc.disable()
         try:
-            for category in (PATIENT, OBSERVATION):  # memoized texts, then fresh ones
+            for category in (PATIENT, OBSERVATION):  # filled rows, then fresh ones
                 before = gc.get_count()[0]
                 records = service.retrieve(category)
                 body = replace(response, records=records).to_json()
@@ -248,8 +247,24 @@ class TestRetrieve:
                 assert len(records) == 5000
                 assert grown < 100, (category, grown)
                 del records, body
+            # the served path: the request cycle and the chunks the handler sends
+            for category in (PATIENT, OBSERVATION, SYN_NS + "Encounter"):
+                request = service.build_request(user_iri, category, PUBLIC_HEALTH)
+                service.handle_request(request)  # compiles the category's policy queries
+                before = gc.get_count()[0]
+                served = service.handle_request(request)
+                chunks = served.body()
+                grown = gc.get_count()[0] - before
+                assert len(served.records) == 5000
+                assert grown < 100, (category, grown)
+                del served, chunks
         finally:
             gc.enable()
+        # a served term's row bytes are its one memo: no grant filled its JSON text
+        for category in (PATIENT, OBSERVATION, SYN_NS + "Encounter"):
+            members = graph.subjects_for(vocab.RDF_TYPE, iri(category))
+            assert len(members) == 5000
+            assert not any(hasattr(term, "_json") for term in members), category
 
     def test_thousand_patient_scale(self):
         graph = Graph()
@@ -316,14 +331,24 @@ class TestLockoutProtocol:
         assert fine.decision.granted is True
 
 
-def reference_body(response: DataResponse) -> str:
-    """The reply body as `json.dumps` of a dict with one list per row."""
+def reference_rows(graph: Graph, category: str) -> list[list[str]]:
+    """A served grant's expected rows, taken from the graph and not from the
+    reply's row bytes: the category's instances sorted by lexical form."""
+    instances = graph.subjects_for(vocab.RDF_TYPE, iri(category))
+    return [[serialize_term(t)] for t in sorted(instances, key=lambda t: t.lexical)]
+
+
+def reference_body(response: DataResponse, graph: Optional[Graph] = None,
+                   category: Optional[str] = None) -> str:
+    """The reply body as `json.dumps` of a dict with one list per row. A
+    served grant's rows are bytes, so they are read from `graph` instead."""
     records = None
     if response.records is not None:
-        records = {
-            "variables": list(response.records.variables),
-            "rows": [[serialize_term(t) for t in row] for row in response.records.rows],
-        }
+        if isinstance(response.records, BindingSet):
+            rows = [[serialize_term(t) for t in row] for row in response.records.rows]
+        else:
+            rows = reference_rows(graph, category)
+        records = {"variables": list(response.records.variables), "rows": rows}
     return json.dumps({
         "requestId": response.request_id,
         "decision": response.decision.to_dict(),
@@ -344,9 +369,9 @@ ODD_TERMS = [
 
 
 class TestResponseJson:
-    def assert_body(self, response):
+    def assert_body(self, response, graph=None, category=None):
         body = response.to_json()
-        assert body == reference_body(response)
+        assert body == reference_body(response, graph, category)
         assert response.to_dict() == json.loads(body)
 
     def test_granted_one_column(self, service, demo_manifest, demo_spec):
@@ -355,10 +380,10 @@ class TestResponseJson:
         )
         assert len(response.records.variables) == 1
         assert len(response.records) == demo_spec.patient_count
-        self.assert_body(response)
+        self.assert_body(response, service.graph, PATIENT)
         self.assert_body(replace(response, records=BindingSet(("x",), [(t,) for t in ODD_TERMS])))
-        # a second reply reuses the texts the first one built
-        self.assert_body(response)
+        # a second reply reuses the rows the first one built
+        self.assert_body(response, service.graph, PATIENT)
 
     def test_multi_and_zero_column_rows(self, service, demo_manifest):
         response = service.handle_request(
@@ -375,7 +400,7 @@ class TestResponseJson:
         )
         assert response.records is not None and len(response.records) == 0
         assert '"rows": []' in response.to_json()
-        self.assert_body(response)
+        self.assert_body(response, service.graph, SYMPTOM)
         self.assert_body(replace(response, records=BindingSet(("s", "o"), [])))
 
     def test_refused_decision(self, service, demo_manifest):

@@ -618,6 +618,74 @@ class TestLeafForms:
             self.check(g, present, subject_order)
 
 
+_ROW_SUBJECTS = ["s:a", "s:b", "s:c", "s:é", 's:"q"', "s:\\", "s:😀", "s:A"]
+
+
+class TestLeafRows:
+    """`Graph.subject_rows` over one (p, o) whose members come and go: every
+    read lists the current members' JSON rows in lexical order, and the
+    members whose row is not yet filled are always the leaf's tail."""
+
+    P, O = iri("p:type"), iri("o:Category")
+
+    @staticmethod
+    def expected_row(lexical):
+        return json.dumps([serialize_term(iri(lexical))]).encode()
+
+    def check_leaf(self, g):
+        leaf = g._pos.get(self.P, {}).get(self.O)
+        if not isinstance(leaf, dict):
+            return
+        rows = list(leaf.values())
+        first_empty = next((i for i, row in enumerate(rows) if row is None), len(rows))
+        assert all(row is None for row in rows[first_empty:]), rows
+        for member, row in leaf.items():
+            assert row is None or row == self.expected_row(member.lexical)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        st.tuples(st.sampled_from(["add", "remove"]), st.sampled_from(_ROW_SUBJECTS)),
+        st.just(("read", None)),
+    ), max_size=40))
+    @example([("add", "s:b"), ("add", "s:c"), ("read", None), ("add", "s:a"),
+              ("add", "s:é"), ("read", None), ("remove", "s:b"), ("remove", "s:a"),
+              ("read", None), ("remove", "s:c"), ("read", None), ("add", "s:b"),
+              ("read", None), ("remove", "s:é"), ("add", "s:é"), ("read", None)])
+    def test_rows_follow_the_members(self, steps):
+        g = Graph()
+        g.insert(Triple(iri("s:other"), self.P, iri("o:Else")))  # a neighbouring leaf
+        members = set()
+        for op, lexical in steps:
+            if op == "add":
+                # a fresh term each time: the graph keeps the first one it saw
+                assert g.insert(Triple(iri(lexical), self.P, self.O)) == (lexical not in members)
+                members.add(lexical)
+            elif op == "remove":
+                assert g.remove(Triple(iri(lexical), self.P, self.O)) == (lexical in members)
+                members.discard(lexical)
+            else:
+                assert g.subject_rows(self.P, self.O) == [
+                    self.expected_row(lexical) for lexical in sorted(members)
+                ]
+            self.check_leaf(g)
+        assert g.subject_rows(self.P, iri("o:Else")) == [self.expected_row("s:other")]
+        assert g.subject_rows(self.P, iri("o:None")) == []
+        assert g.subject_rows(iri("p:none"), self.O) == []
+
+    def test_loading_fills_no_row(self):
+        g = Graph()
+        load_lines(g, "".join(f"<{s}> <p:type> <o:Category> .\n" for s in ("s:a", "s:c", "s:b")))
+        assert list(g._pos[self.P][self.O].values()) == [None] * 3
+        assert g.subject_rows(self.P, self.O) == [self.expected_row(s) for s in ("s:a", "s:b", "s:c")]
+
+    def test_a_read_fills_no_json_text(self):
+        g = Graph()
+        for lexical in _ROW_SUBJECTS:
+            g.insert(Triple(iri(lexical), self.P, self.O))
+        g.subject_rows(self.P, self.O)
+        assert not any(hasattr(term, "_json") for term in g.subjects_for(self.P, self.O))
+
+
 class TestNamespaces:
     def test_default_prefixes_registered(self):
         namespaces = {"syn": SYN_NS, "dua": DUA_NS, "tst": TST_NS, "rdf": RDF_NS,
