@@ -38,9 +38,9 @@ from .policy import (
     PolicyError,
     PolicyTemplate,
 )
-from .query import RDF_TYPE, BindingSet
+from .query import RDF_TYPE
 from .query import eval_select  # not called here; perfbench/traced_serve.py wraps it by name
-from .store import Graph, StoreError, TermError, iri, json_term
+from .store import Graph, StoreError, TermError, iri
 from .trust import (
     SCORE_NAMES,
     AssessmentConfig,
@@ -188,32 +188,19 @@ class AccessDecision:
         }
 
 
-class JsonRows:
-    """A retrieval's result as the reply writes it: each row the bytes of
-    its one-element JSON array, in the result's order."""
-
-    __slots__ = ("rows",)
-    variables = ("x",)
-
-    def __init__(self, rows: list[bytes]):
-        self.rows = rows
-
-    def __len__(self):
-        return len(self.rows)
-
-
 @dataclass(frozen=True)
 class DataResponse:
     request_id: str
     decision: AccessDecision
-    records: Optional[JsonRows | BindingSet]
+    records: Optional[list[bytes]]
     custodian_notices: tuple[dict, ...]
     timings: dict[str, float]
 
     def body(self) -> list[bytes]:
         """The reply body as byte chunks, which join to the UTF-8 of the text
-        `json.dumps` gives for this response. The rows are one chunk, joined
-        from their JSON bytes; no text of the whole body is built."""
+        `json.dumps` gives for this response. The rows, one variable `x`
+        each, are one chunk joined from their JSON bytes; no text of the
+        whole body is built."""
         dumps = json.dumps
         head = (
             f'{{"requestId": {dumps(self.request_id)}, '
@@ -223,11 +210,10 @@ class DataResponse:
             f', "custodianNotices": {dumps(self.custodian_notices)}, '
             f'"timings": {dumps(self.timings)}}}'
         )
-        records = self.records
-        if records is None:
+        if self.records is None:
             return [(head + "null" + tail).encode()]
-        head += f'{{"variables": {dumps(records.variables)}, "rows": ['
-        return [head.encode(), _row_bytes(records), ("]}" + tail).encode()]
+        head += '{"variables": ["x"], "rows": ['
+        return [head.encode(), b", ".join(self.records), ("]}" + tail).encode()]
 
     def to_json(self) -> str:
         """The reply body as text."""
@@ -236,14 +222,6 @@ class DataResponse:
     def to_dict(self) -> dict:
         """The reply body parsed back into a dict."""
         return json.loads(self.to_json())
-
-
-def _row_bytes(records: JsonRows | BindingSet) -> bytes:
-    """The rows' JSON arrays joined by ", "; a `BindingSet`'s from its
-    terms' memoized JSON texts."""
-    if isinstance(records, JsonRows):
-        return b", ".join(records.rows)
-    return ", ".join(f"[{', '.join(map(json_term, row))}]" for row in records.rows).encode()
 
 
 def _body_slices(updates: list[ScoreUpdate]) -> Iterable[list[dict]]:
@@ -489,10 +467,10 @@ class ExchangeMiddleware:
             timings=timings,
         )
 
-    def retrieve(self, category_iri: str) -> JsonRows:
-        """All instances of the category in lexical order, one row each,
-        read from the graph's current index leaf."""
-        return JsonRows(self.graph.subject_rows(RDF_TYPE, iri(category_iri)))
+    def retrieve(self, category_iri: str) -> list[bytes]:
+        """All instances of the category in lexical order, each as the bytes
+        of its one-element JSON row, read from the graph's current index leaf."""
+        return self.graph.subject_rows(RDF_TYPE, iri(category_iri))
 
     # -- score propagation -----------------------------------------------------
 
@@ -818,7 +796,7 @@ class _Handler(BaseHTTPRequestHandler):
                 response = service.handle_request(request)
                 self._reply(200, response.body())
             elif path == "/peers/scores":
-                updates = body.get("updates", [])
+                updates = body.get("updates")
                 if not isinstance(updates, list) or not all(isinstance(u, dict) for u in updates):
                     raise RequestValidationError("updates must be a list of JSON objects")
                 updates = [ScoreUpdate.from_dict(u) for u in updates]

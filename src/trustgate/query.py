@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Iterator, Optional
 
 from .store import (
@@ -172,43 +171,15 @@ class QueryAst:
         return list(seen)
 
 
+@dataclass
 class BindingSet:
-    """Solution rows over a fixed variable tuple, deterministically ordered.
+    """Solution rows over a fixed variable tuple, deterministically ordered."""
 
-    A one-variable set holds its answer as `column`, one flat list of terms,
-    and builds `rows` only when asked; rows given to the constructor are
-    converted. Wider sets keep their row tuples and have no column.
-    """
-
-    __slots__ = ("variables", "column", "_rows")
-
-    def __init__(self, variables, rows=(), column: Optional[list[Term]] = None):
-        self.variables = tuple(variables)
-        if len(self.variables) == 1:
-            self.column = column if column is not None else [t for (t,) in rows]
-            self._rows = None
-        else:
-            self.column = None
-            self._rows = list(rows)
-
-    @property
-    def rows(self) -> list[tuple[Term, ...]]:
-        if self.column is None:
-            return self._rows
-        return list(zip(self.column))
+    variables: tuple[str, ...]
+    rows: list[tuple[Term, ...]]
 
     def __len__(self):
-        return len(self._rows if self.column is None else self.column)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BindingSet)
-            and self.variables == other.variables
-            and self.rows == other.rows
-        )
-
-    def __repr__(self):
-        return f"BindingSet({self.variables!r}, {self.rows!r})"
+        return len(self.rows)
 
 
 @dataclass
@@ -653,19 +624,7 @@ def eval_select(ast: QueryAst, graph: Graph) -> BindingSet:
     """All solutions, projected and ordered by `Term.sort_key`."""
     if ast.form != SELECT:
         raise EvalError(f"eval_select needs a SELECT query, got {ast.form}")
-    names = ast.projection if ast.projection is not None else ast.bgp_variables()
-    variables = tuple(names)
-    if len(variables) == 1 and len(ast.bgp) == 1 and not ast.filters:
-        s, p, o = ast.bgp[0].positions()
-        if (isinstance(s, Var) and s.name == variables[0]
-                and isinstance(p, Term) and isinstance(o, Term)):
-            # retrieval's query: the subjects of a ground (p, o), all IRIs,
-            # so their lexical form alone gives the full key's order, which
-            # most leaves keep
-            column = list(graph.subjects_for(p, o))
-            if not graph.subjects_sorted(p, o):
-                column.sort(key=attrgetter("lexical"))
-            return BindingSet(variables, column=column)
+    variables = tuple(ast.projection if ast.projection is not None else ast.bgp_variables())
     rows = [tuple(sol[name] for name in variables) for sol in _solutions(ast, graph)]
     rows.sort(key=lambda row: tuple(term.sort_key() for term in row))
     return BindingSet(variables, rows)

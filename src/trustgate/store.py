@@ -77,10 +77,9 @@ class Term:
 
     Equality is the (kind, lexical, datatype) triple; "1.0" and "1.00" are
     distinct typed literals even though they denote the same number.
-    `_json` stays unset until `json_term` first fills it.
     """
 
-    __slots__ = ("kind", "lexical", "datatype", "_hash", "_json")
+    __slots__ = ("kind", "lexical", "datatype", "_hash")
 
     def __init__(self, kind: str, lexical: str, datatype: Optional[str] = None):
         if kind == IRI:
@@ -387,11 +386,6 @@ class Graph:
         if self._unsorted and (p, o) in self._unsorted:
             return [leaf[s] for s in sorted(leaf, key=attrgetter("lexical"))]
         return list(leaf.values())
-
-    def subjects_sorted(self, p: Term, o: Term) -> bool:
-        """True when `subjects_for(p, o)` iterates in lexical order, which
-        for subjects, all IRIs, is `Term.sort_key` order."""
-        return not self._unsorted or (p, o) not in self._unsorted
 
     def predicate_version(self, p: Term) -> int:
         """Mutation counter for one predicate; a query whose patterns all
@@ -704,23 +698,9 @@ def serialize_term(term: Term) -> str:
     return f'"{_escape(term.lexical)}"^^<{term.datatype}>'
 
 
-def json_term(term: Term) -> str:
-    """`json.dumps(serialize_term(term))`, computed once and kept on the term.
-
-    `encode_basestring_ascii` is the encoder `json.dumps` uses by default, so
-    the text is the same byte for byte. Concurrent readers may both fill the
-    slot; each stores the same string, so no lock is needed.
-    """
-    try:
-        return term._json
-    except AttributeError:
-        text = term._json = encode_basestring_ascii(serialize_term(term))
-        return text
-
-
 def _json_row(term: Term) -> bytes:
-    """`json.dumps([serialize_term(term)]).encode()`, without filling
-    `term._json`: a served row's bytes are its only memo."""
+    """`json.dumps([serialize_term(term)]).encode()`: the bytes of the
+    term's one-element JSON row, as a granted reply sends it."""
     return f"[{encode_basestring_ascii(serialize_term(term))}]".encode("ascii")
 
 

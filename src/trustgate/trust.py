@@ -407,9 +407,11 @@ class TrustRegistry:
     # -- replication -------------------------------------------------------
 
     def apply_remote(self, principal_iri: str, score_name: str, value, version: int) -> bool:
-        """Apply a propagated score if its version is newer; stale or
-        duplicate versions are ignored. An unknown principal is registered
-        by the first update that applies to it.
+        """Apply a propagated score if its version is newer and the
+        principal's kind carries that score; stale or duplicate versions and
+        scores of the other kind are ignored. An unknown principal is
+        registered by the first update that applies to it, as a user for a
+        behavior score and as an organization otherwise.
         """
         if score_name not in SCORE_NAMES:
             raise TrustError(f"unknown score name: {score_name}")
@@ -425,6 +427,8 @@ class TrustRegistry:
                 if kind == USER
                 else TrustRecord(ref, behavior=None, identity=ONE, credibility=ONE, version=0)
             )
+        elif getattr(record, score_name) is None:
+            return False
         self._commit(replace(record, **{score_name: score}, version=version))
         return True
 

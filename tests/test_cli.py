@@ -9,7 +9,7 @@ import pytest
 from trustgate.cli import main
 from trustgate.middleware import MiddlewareHTTPServer
 from trustgate.ontology import bootstrap_vocabulary
-from trustgate.store import Graph, SYN_NS, load_lines, serialize_lines
+from trustgate.store import RDF_NS, SYN_NS, Graph, iri, load_lines, serialize_lines
 
 
 @pytest.fixture()
@@ -67,6 +67,19 @@ class TestQuery:
         rows = capsys.readouterr().out.strip().splitlines()
         assert len(rows) == 100
         assert all("\t" in row for row in rows)
+
+    def test_select_one_variable_lists_every_patient_in_order(self, dataset, tmp_path, capsys):
+        query = tmp_path / "q.rq"
+        query.write_text("SELECT ?p WHERE { ?p a syn:Patient . }")
+        assert main(["query", "--data", str(dataset), "--query", str(query)]) == 0
+        graph = Graph()
+        with open(dataset) as handle:
+            load_lines(graph, handle)
+        patient = iri(SYN_NS + "Patient")
+        patients = sorted(t.subject.lexical for t in graph if t.object == patient
+                          and t.predicate.lexical == RDF_NS + "type")
+        assert len(patients) == 20
+        assert capsys.readouterr().out.splitlines() == patients
 
     def test_update_summary(self, dataset, tmp_path, capsys):
         query = tmp_path / "u.rq"

@@ -98,7 +98,7 @@ class TestEndpoints:
         })
         assert status == 200
         expected = server.service.retrieve(PATIENT)
-        assert body["records"]["variables"] == list(expected.variables)
+        assert body["records"]["variables"] == ["x"]
         # the terms come from the graph, not from the row bytes the reply was joined from
         instances = server.service.graph.subjects_for(vocab.RDF_TYPE, iri(PATIENT))
         terms = sorted(instances, key=lambda t: t.lexical)
@@ -160,6 +160,8 @@ class TestEndpoints:
         assert (status, body) == (200, {"applied": 1})
         status, body = http("GET", server.url + "/trust/" + quote(principal, safe=""))
         assert body["scores"]["behavior"] == "0.75"
+        # an empty batch is well formed; a batch with no updates field is not
+        assert http("POST", server.url + "/peers/scores", {"updates": []}) == (200, {"applied": 0})
 
     @pytest.mark.parametrize("path, payload", [
         ("/requests", [1, 2]),
@@ -169,6 +171,7 @@ class TestEndpoints:
         ("/peers/scores", {"updates": [1]}),
         ("/peers/scores", {"updates": ["x"]}),
         ("/admin/dua", [1]),
+        ("/peers/scores", {}),
     ])
     def test_malformed_body_is_bad_request(self, server, path, payload):
         status, body = http("POST", server.url + path, payload)
@@ -676,6 +679,8 @@ class TestRawRequests:
     # closed with no reply
     @example(drawn=(b"GET http://[/ HTTP/1.0\r\n\r\n", "GET"))
     @example(drawn=(b"POST http://[::1/requests HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}", "POST"))
+    # a score batch with no updates field got 200 {"applied": 0}
+    @example(drawn=(b"POST /peers/scores HTTP/1.0\r\n\r\n", "POST"))
     def test_raw_request_bytes_never_get_a_server_error(self, server, drawn):
         raw, method = drawn
         reply = raw_reply(server, raw)
@@ -870,7 +875,8 @@ _REQUIRED_UPDATE_KEYS = st.sampled_from(["principal", "score", "value", "version
 
 class TestScoreBatches:
     """Batches of propagated score updates: one bad update refuses the whole
-    batch, and a good batch applies exactly the updates that are newer."""
+    batch, and a good batch applies exactly the updates that are newer and
+    name a score the principal's kind carries."""
 
     @pytest.fixture()
     def node(self, demo_graph, demo_manifest):
@@ -925,11 +931,17 @@ class TestScoreBatches:
     def test_applied_counts_the_updates_newer_than_the_held_version(self, node, data):
         server, manifest = node
         batch = data.draw(st.lists(self._updates(manifest), max_size=8))
-        held = {p: record["version"] for p, record in server.service.registry.snapshot().items()}
+        held = {p: (record["version"], set(record["scores"]))
+                for p, record in server.service.registry.snapshot().items()}
         newer = 0
         for update in batch:
-            if update["version"] > held.get(update["principal"], 0):
-                held[update["principal"]] = update["version"]
+            principal, score, version = update["principal"], update["score"], update["version"]
+            if principal not in held and version > 0:
+                # registered by its first newer update: a user for a behavior score
+                held[principal] = (0, {BEHAVIOR, IDENTITY} if score == BEHAVIOR
+                                   else {IDENTITY, CREDIBILITY_SCORE})
+            if principal in held and version > held[principal][0] and score in held[principal][1]:
+                held[principal] = (version, held[principal][1])
                 newer += 1
         status, body = http("POST", server.url + "/peers/scores", {"updates": batch})
         assert (status, body) == (200, {"applied": newer}), batch

@@ -370,6 +370,16 @@ class TestReplication:
         assert registry.apply_remote(stranger, BEHAVIOR, "0.5", 1) is True
         assert registry.is_registered(stranger)
 
+    def test_score_the_kind_does_not_carry_is_not_applied(self):
+        registry = make_registry()
+        stranger = SYN_NS + "org_099"
+        assert registry.apply_remote(stranger, IDENTITY, "0.5", 1) is True  # an organization
+        before = registry.snapshot()
+        for principal, score in ((ORG, BEHAVIOR), (ALICE, CREDIBILITY_SCORE), (stranger, BEHAVIOR)):
+            assert registry.apply_remote(principal, score, "0.4", 50) is False, (principal, score)
+        assert registry.snapshot() == before
+        assert registry.snapshot()[stranger]["scores"] == {"identity": "0.5", "credibility": "1.0"}
+
 
 class TestGraphProjection:
     def test_projection_tracks_mutations(self):
