@@ -38,6 +38,9 @@ STAGE_LABELS = {
 
 METRICS = ("mean", "p50", "p95")
 
+# untimed requests each size's service handles before the timed ones
+WARMUP_TRANSACTIONS = 20
+
 SCENARIO_USER_VIOLATIONS = "user-with-dua-violations"
 SCENARIO_USER_WITHOUT_DUA = "user-without-dua"
 SCENARIO_ORG_MISSING_CATEGORY = "org-missing-category"
@@ -119,7 +122,6 @@ def run_latency(
     sizes: Iterable[int],
     transactions: int = 1000,
     seed: int = 1,
-    warmup: int = 20,
 ) -> LatencyReport:
     """Time the four request-cycle stages over randomized clean requests.
 
@@ -147,7 +149,7 @@ def run_latency(
             for user, category, purpose in manifest.clean_requests()
         ]
         rng = random.Random(f"{seed}:latency:{size}")
-        for _ in range(warmup):
+        for _ in range(WARMUP_TRANSACTIONS):
             service.handle_request(rng.choice(pool))
         samples: dict[str, list[float]] = {stage: [] for stage in STAGES}
         # the request cycle allocates no reference cycles, so collector

@@ -14,6 +14,7 @@ import time
 from .bench import SCENARIOS, emit_report, run_latency, run_trajectory
 from .middleware import ExchangeMiddleware, MiddlewareHTTPServer, load_config
 from .ontology import bootstrap_vocabulary, validate_instances
+from .policy import load_policy_dir
 from .query import eval_ask, eval_select, eval_update, parse as parse_query
 from .store import Graph, load_lines, serialize_lines
 from .synth import GeneratorSpec, generate_dataset
@@ -85,26 +86,15 @@ def _cmd_serve(args) -> int:
     started = time.perf_counter()
     graph = _load_graph(args.data)
     load_s = time.perf_counter() - started
-    assessment = penalties = None
-    extras = {}
-    if args.config:
-        assessment, penalties, extras = load_config(args.config)
-    policies = None
-    if args.policy_dir:
-        from .policy import load_policy_dir, register_builtin_policies
-
-        policies = register_builtin_policies() + load_policy_dir(args.policy_dir)
     peers = [p for p in (args.peers.split(",") if args.peers else []) if p]
     host, _, port = args.listen.partition(":")
     service = ExchangeMiddleware(
         graph,
-        assessment=assessment,
-        penalties=penalties,
-        policies=policies,
+        policies=load_policy_dir(args.policy_dir) if args.policy_dir else (),
         node_id=args.node_id,
         peers=peers,
         log_path=args.log,
-        completeness_sample=extras.get("completeness_sample", 25),
+        **(load_config(args.config) if args.config else {}),
     )
     server = MiddlewareHTTPServer((host or "127.0.0.1", int(port or 0)), service)
     if peers:
@@ -134,6 +124,14 @@ def _cmd_serve(args) -> int:
         server.server_close()
         service.close()
     return 0
+
+
+def _interval(text: str) -> float:
+    # the propagation thread's sleep: 0 would spin, and one sleep refuses would end it
+    seconds = float(text)
+    if not 0 < seconds <= 86400:
+        raise argparse.ArgumentTypeError(f"must be more than 0 and at most 86400 seconds: {text}")
+    return seconds
 
 
 def _parse_sizes(text: str) -> list[int]:
@@ -219,7 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--listen", default="127.0.0.1:8080")
     p.add_argument("--log", help="append-only transaction log path")
     p.add_argument("--node-id", default="node-1")
-    p.add_argument("--propagate-interval", type=float, default=1.0)
+    p.add_argument("--propagate-interval", type=_interval, default=1.0,
+                   help="seconds between score deliveries to the peers (0 < s <= 86400)")
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser("bench", help="run the experiment harness")

@@ -21,8 +21,7 @@ import socket
 import threading
 import time
 import urllib.request
-from dataclasses import asdict, dataclass
-from decimal import Decimal
+from dataclasses import asdict, dataclass, fields
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from typing import Iterable, Optional
 from urllib.parse import unquote, urlparse
@@ -30,6 +29,7 @@ from urllib.parse import unquote, urlparse
 from . import ontology as vocab
 from .ontology import DuaRecord, OntologyError, PrincipalRef
 from .policy import (
+    COMPLETENESS_SAMPLE,
     STAGE_CREDIBILITY,
     STAGE_POLICY,
     ComplianceResult,
@@ -65,6 +65,11 @@ STAGES = DECISION_STAGES + (STAGE_RETRIEVAL,)
 
 # a POST body longer than this is refused before any of it is read
 MAX_BODY_BYTES = 1 << 20
+
+# a peer POST's timeout (s); a batch's tries, PEER_BACKOFF s then twice that apart
+PEER_TIMEOUT = 5.0
+PEER_ATTEMPTS = 3
+PEER_BACKOFF = 0.05
 
 
 class MiddlewareError(Exception):
@@ -317,12 +322,11 @@ class ExchangeMiddleware:
         graph: Graph,
         assessment: Optional[AssessmentConfig] = None,
         penalties: Optional[PenaltyConfig] = None,
-        policies: Optional[list[PolicyTemplate]] = None,
+        policies: Iterable[PolicyTemplate] = (),  # extensions; the built-ins always run
         node_id: str = "node-1",
         peers: Iterable[str] = (),
         log_path: Optional[str] = None,
-        completeness_sample: int = 25,
-        http_timeout: float = 5.0,
+        completeness_sample: int = COMPLETENESS_SAMPLE,
     ):
         vocab.bootstrap_vocabulary(graph)
         self.graph = graph
@@ -330,10 +334,9 @@ class ExchangeMiddleware:
         self.assessment_cfg = assessment or AssessmentConfig()
         self.penalty_cfg = penalties or PenaltyConfig()
         self.registry = TrustRegistry(graph)
-        self.engine = PolicyEngine(graph, templates=policies, completeness_sample=completeness_sample)
+        self.engine = PolicyEngine(graph, policies, completeness_sample)
         self.peers = list(peers)
         self._log_file = open(log_path, "a", encoding="utf-8") if log_path else None
-        self._http_timeout = http_timeout
         # the node's one lock, whose sections run one at a time: requests
         # decide and commit in one section, retrieval and the propagation
         # snapshot read in sections of their own
@@ -491,38 +494,32 @@ class ExchangeMiddleware:
         with self._lock.read():
             return list(self._pending)
 
-    def propagate_scores(
-        self,
-        peers: Optional[list[str]] = None,
-        max_attempts: int = 3,
-        backoff: float = 0.05,
-    ) -> dict[str, dict]:
+    def propagate_scores(self) -> dict[str, dict]:
         """Deliver pending updates to each peer at least once, in POSTs that
         each fit MAX_BODY_BYTES; a peer's cursor moves past each one it
         acknowledges, and only forward, so overlapping calls skip nothing.
 
         A peer that stays unreachable keeps its undelivered updates queued
-        for the next call; the queue is pruned once every configured peer,
-        and every other peer addressed so far, has acknowledged a prefix.
+        for the next call; the queue is pruned once every peer has
+        acknowledged a prefix.
         """
-        targets = list(peers) if peers is not None else list(self.peers)
         results: dict[str, dict] = {}
         with self._lock.read():
             base = self._pending_base
             snapshot = list(self._pending)
-            cursors = {peer: self._peer_cursor.get(peer, base) for peer in targets}
-        for peer in targets:
+            cursors = dict(self._peer_cursor)
+        for peer in self.peers:
             delivered, error = 0, None
             for batch in _body_slices(snapshot[cursors[peer] - base:]):
-                for attempt in range(max_attempts):
+                for attempt in range(PEER_ATTEMPTS):
                     try:
                         self._post_json(peer.rstrip("/") + "/peers/scores", {"updates": batch})
                         error = None
                         break
                     except Exception as exc:
                         error = exc
-                        if attempt + 1 < max_attempts:
-                            time.sleep(backoff * (2 ** attempt))
+                        if attempt + 1 < PEER_ATTEMPTS:
+                            time.sleep(PEER_BACKOFF * (2 ** attempt))
                 if error is not None:
                     break
                 delivered += len(batch)
@@ -534,7 +531,7 @@ class ExchangeMiddleware:
         with self._lock.write():
             head = self._pending_base
             for peer, cursor in cursors.items():
-                self._peer_cursor[peer] = max(self._peer_cursor.get(peer, head), cursor)
+                self._peer_cursor[peer] = max(self._peer_cursor[peer], cursor)
             low = min(self._peer_cursor.values(), default=head)
             del self._pending[:low - head]
             self._pending_base = low
@@ -612,7 +609,7 @@ class ExchangeMiddleware:
         request = urllib.request.Request(
             url, data=body, headers={"Content-Type": "application/json"}, method="POST"
         )
-        with urllib.request.urlopen(request, timeout=self._http_timeout) as response:
+        with urllib.request.urlopen(request, timeout=PEER_TIMEOUT) as response:
             return json.loads(response.read() or b"{}")
 
 
@@ -832,9 +829,9 @@ class _Handler(BaseHTTPRequestHandler):
         return data
 
 
-def start_server(service: ExchangeMiddleware, host: str = "127.0.0.1", port: int = 0) -> MiddlewareHTTPServer:
-    """Start the HTTP API in a daemon thread; returns the listening server."""
-    server = MiddlewareHTTPServer((host, port), service)
+def start_server(service: ExchangeMiddleware) -> MiddlewareHTTPServer:
+    """Start the HTTP API on a free loopback port in a daemon thread."""
+    server = MiddlewareHTTPServer(("127.0.0.1", 0), service)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     return server
@@ -844,38 +841,58 @@ def start_server(service: ExchangeMiddleware, host: str = "127.0.0.1", port: int
 
 
 def parse_config_text(text: str) -> dict[str, str]:
-    """key=value lines; '#' starts a comment."""
+    """key=value lines; '#' starts a comment, also after a value."""
     out: dict[str, str] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.partition("#")[0].strip()
+        if not line:
             continue
         if "=" not in line:
             raise MiddlewareError(f"config line {line_no}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in out:
+            raise MiddlewareError(f"config line {line_no}: {key} is already set")
+        out[key] = value
     return out
 
 
-def configs_from_mapping(mapping: dict[str, str]) -> tuple[AssessmentConfig, PenaltyConfig, dict]:
-    assessment = AssessmentConfig(
-        w_behavior=Decimal(mapping.get("w_behavior", "0.5")),
-        w_identity=Decimal(mapping.get("w_identity", "0.5")),
-        threshold=Decimal(mapping.get("threshold", "0.9")),
-    )
-    penalties = PenaltyConfig(
-        dua_violation=Decimal(mapping.get("dua_violation", "0.01")),
-        no_dua_request=Decimal(mapping.get("no_dua_request", "0.02")),
-        missing_category=Decimal(mapping.get("missing_category", "0.02")),
-        missing_properties=Decimal(mapping.get("missing_properties", "0.01")),
-        tolerance_grace=int(mapping.get("tolerance_grace", "0")),
-        penalize_org_identity=mapping.get("penalize_org_identity", "false").lower()
-        in ("1", "true", "yes"),
-    )
-    extras = {"completeness_sample": int(mapping.get("completeness_sample", "25"))}
-    return assessment, penalties, extras
+_FLAGS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+_CONFIG_CLASSES = {"assessment": AssessmentConfig, "penalties": PenaltyConfig}
+# each config key: the config argument of `ExchangeMiddleware` whose field
+# it is (None for an argument of its own), and the type its value reads as
+CONFIG_KEYS = {f.name: (arg, type(f.default))
+               for arg, cls in _CONFIG_CLASSES.items() for f in fields(cls)}
+CONFIG_KEYS["completeness_sample"] = (None, int)
 
 
-def load_config(path) -> tuple[AssessmentConfig, PenaltyConfig, dict]:
+def configs_from_mapping(mapping: dict[str, str]) -> dict:
+    """`ExchangeMiddleware` keyword arguments from the keys a config file
+    sets; the defaults are those `AssessmentConfig`, `PenaltyConfig` and
+    `ExchangeMiddleware` declare. An unknown key, or a value that does not
+    read or lies out of range, is refused by name."""
+    options: dict = {}
+    chosen: dict[str, dict] = {arg: {} for arg in _CONFIG_CLASSES}
+    for key, text in mapping.items():
+        if key not in CONFIG_KEYS:
+            raise MiddlewareError(f"unknown config key: {key}")
+        arg, kind = CONFIG_KEYS[key]
+        try:
+            value = _FLAGS[text.lower()] if kind is bool else kind(text)
+            if arg is not None:
+                _CONFIG_CLASSES[arg](**{key: value})  # a range error names its key
+            elif value < 1:  # the probe samples at least one instance
+                raise ValueError(text)
+        except (ArithmeticError, LookupError, ValueError, TrustError) as exc:
+            reason = f" ({exc})" if isinstance(exc, TrustError) else ""
+            raise MiddlewareError(f"config key {key}: bad value {text!r}{reason}") from None
+        (options if arg is None else chosen[arg])[key] = value
+    try:
+        options.update((arg, cls(**chosen[arg])) for arg, cls in _CONFIG_CLASSES.items())
+    except TrustError as exc:  # weights that are both zero
+        raise MiddlewareError(f"config: {exc}") from None
+    return options
+
+
+def load_config(path) -> dict:
     with open(path, encoding="utf-8") as handle:
         return configs_from_mapping(parse_config_text(handle.read()))

@@ -18,7 +18,7 @@ import uuid
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import ontology as vocab
 from .ontology import OntologyError, PrincipalRef
@@ -42,9 +42,6 @@ class SubstitutionError(PolicyError):
     pass
 
 
-USER_SIDE = "user"
-CUSTODIAN_SIDE = "custodian"
-
 P_DUA_EXISTS = "dua-exists"
 P_REQUESTED_DATA = "requested-data-in-dua"
 P_CUSTODIAN_HAS_CATEGORY = "custodian-has-category"
@@ -54,7 +51,8 @@ P_PURPOSE_PERMITTED = "purpose-permitted"
 STAGE_POLICY = "recipientPolicyCheck"
 STAGE_CREDIBILITY = "dataCredibilityCheck"
 
-POLICY_ORDER = (P_DUA_EXISTS, P_REQUESTED_DATA, P_CUSTODIAN_HAS_CATEGORY, P_PURPOSE_PERMITTED)
+# instances of a category the completeness probe samples, unless configured
+COMPLETENESS_SAMPLE = 25
 
 
 @dataclass(frozen=True)
@@ -63,7 +61,6 @@ class PolicyTemplate:
     description: str
     query_template: str
     failure_penalty: Optional[str]
-    side: str = USER_SIDE
 
     def placeholders(self) -> set[str]:
         return set(_PLACEHOLDER_RE.findall(self.query_template))
@@ -122,36 +119,17 @@ _PURPOSE_PERMITTED_TEMPLATE = """ASK{
 
 def register_builtin_policies() -> list[PolicyTemplate]:
     """The four built-in policies in evaluation order."""
-    return [
-        PolicyTemplate(
-            id=P_DUA_EXISTS,
-            description="an agreement exists between the user's organization and the custodian",
-            query_template=_DUA_EXISTS_TEMPLATE,
-            failure_penalty=NO_DUA_REQUEST,
-            side=USER_SIDE,
-        ),
-        PolicyTemplate(
-            id=P_REQUESTED_DATA,
-            description="the requested data category is granted by the agreement",
-            query_template=_REQUESTED_DATA_TEMPLATE,
-            failure_penalty=DUA_VIOLATION,
-            side=USER_SIDE,
-        ),
-        PolicyTemplate(
-            id=P_CUSTODIAN_HAS_CATEGORY,
-            description="the custodian holds a data category the agreement requests",
-            query_template=_CUSTODIAN_HAS_CATEGORY_TEMPLATE,
-            failure_penalty=MISSING_CATEGORY,
-            side=CUSTODIAN_SIDE,
-        ),
-        PolicyTemplate(
-            id=P_PURPOSE_PERMITTED,
-            description="the request's purpose is a permitted use or disclosure of the agreement",
-            query_template=_PURPOSE_PERMITTED_TEMPLATE,
-            failure_penalty=DUA_VIOLATION,
-            side=USER_SIDE,
-        ),
-    ]
+    return [PolicyTemplate(*row) for row in (
+        (P_DUA_EXISTS, "an agreement exists between the user's organization and the custodian",
+         _DUA_EXISTS_TEMPLATE, NO_DUA_REQUEST),
+        (P_REQUESTED_DATA, "the requested data category is granted by the agreement",
+         _REQUESTED_DATA_TEMPLATE, DUA_VIOLATION),
+        (P_CUSTODIAN_HAS_CATEGORY, "the custodian holds a data category the agreement requests",
+         _CUSTODIAN_HAS_CATEGORY_TEMPLATE, MISSING_CATEGORY),
+        (P_PURPOSE_PERMITTED,
+         "the request's purpose is a permitted use or disclosure of the agreement",
+         _PURPOSE_PERMITTED_TEMPLATE, DUA_VIOLATION),
+    )]
 
 
 def _check_label(value: str, name: str) -> str:
@@ -218,7 +196,8 @@ class ComplianceResult:
         raise PolicyError(f"unknown policy id: {policy_id}")
 
 
-def completeness_probe(graph: Graph, category: Term, sample_size: int = 25) -> bool:
+def completeness_probe(graph: Graph, category: Term,
+                       sample_size: int = COMPLETENESS_SAMPLE) -> bool:
     """True iff every declared property group of the category has at least
     one triple on at least one sampled instance.
 
@@ -273,29 +252,27 @@ def _dependencies(ast: QueryAst) -> Optional[tuple]:
 
 
 class PolicyEngine:
-    """Evaluates the policy set for requests against one graph."""
+    """Evaluates the four built-in policies, and the extension policies
+    given, for requests against one graph."""
 
     def __init__(
         self,
         graph: Graph,
-        templates: Optional[list[PolicyTemplate]] = None,
-        completeness_sample: int = 25,
+        extensions: Iterable[PolicyTemplate] = (),
+        completeness_sample: int = COMPLETENESS_SAMPLE,
     ):
         self.graph = graph
-        self.templates = {t.id: t for t in (templates or register_builtin_policies())}
-        for builtin in POLICY_ORDER:
-            if builtin not in self.templates:
-                raise PolicyError(f"missing built-in policy: {builtin}")
+        extensions = list(extensions)
+        templates = register_builtin_policies() + extensions
+        self.templates = {t.id: t for t in templates}
+        if len(self.templates) != len(templates):
+            raise PolicyError("policy ids must be unique; a built-in policy cannot be replaced")
         self.completeness_sample = completeness_sample
-        extensions = sorted(
-            pid
-            for pid, template in self.templates.items()
-            if pid not in POLICY_ORDER and template.side == USER_SIDE
-        )
-        # the recipient-side chain in order, each policy with whether its
-        # query takes the request's category and its purpose
+        # the recipient-side chain, extensions last, each policy with whether
+        # its query takes the request's category and its purpose
         self._user_chain = []
-        for pid in (P_DUA_EXISTS, P_REQUESTED_DATA, P_PURPOSE_PERMITTED, *extensions):
+        for pid in (P_DUA_EXISTS, P_REQUESTED_DATA, P_PURPOSE_PERMITTED,
+                    *sorted(t.id for t in extensions)):
             wanted = self.templates[pid].placeholders()
             self._user_chain.append((pid, "categoryIri" in wanted, "purposeIri" in wanted))
         # one entry per instantiated query, keyed by value: the template id
@@ -432,15 +409,10 @@ class PolicyEngine:
         if timings is not None:
             timings[STAGE_POLICY] = t1 - t0
             timings[STAGE_CREDIBILITY] = time.perf_counter() - t1
-        # presentation order: the built-in four, then deployment-loaded policies
-        by_id = dict(user_outcomes)
-        by_id[P_CUSTODIAN_HAS_CATEGORY] = has_data
-        per_policy = [(pid, by_id.get(pid)) for pid in POLICY_ORDER]
-        per_policy.extend(
-            (pid, passed) for pid, passed in user_outcomes if pid not in POLICY_ORDER
-        )
+        # presentation order: the built-in four, then the extensions
         return ComplianceResult(
-            per_policy=tuple(per_policy),
+            per_policy=(*user_outcomes[:2], (P_CUSTODIAN_HAS_CATEGORY, has_data),
+                        *user_outcomes[2:]),
             compliant=compliant,
             custodian_has_data=has_data,
             custodian_complete=complete,
@@ -451,7 +423,6 @@ _DUMMY_SUBSTITUTIONS = {
     "userLabel": "user_000",
     "custodianLabel": "DataCustodian",
     "categoryIri": "syn:Patient^^rdf:PlainLiteral",
-    "categoryList": "STR(syn:Patient)",
     "purposeIri": "dua:PublicHealth",
 }
 
@@ -482,27 +453,36 @@ def _check_vocabulary(template_id: str, ast: QueryAst) -> None:
 
 
 def load_policy_dir(path) -> list[PolicyTemplate]:
-    """Load extension policies from a directory.
-
-    Each policy is a `<id>.rq` query template with a `<id>.json` metadata
-    sidecar carrying description, failure penalty, and side. Templates are
-    smoke-instantiated at load so malformed or undeclared-vocabulary ones
-    fail here, not at request time.
+    """Load extension policies from a directory: each a `<id>.rq` query
+    template with a `<id>.json` sidecar, a JSON object. Extensions are
+    recipient-side checks run beside the built-ins, never in their place.
+    Templates are smoke-instantiated at load so malformed or
+    undeclared-vocabulary ones fail here, not at request time.
     """
     directory = Path(path)
     templates = []
+    taken = {t.id for t in register_builtin_policies()}
     for query_file in sorted(directory.glob("*.rq")):
         sidecar = query_file.with_suffix(".json")
         if not sidecar.exists():
             raise PolicyError(f"missing metadata sidecar for {query_file.name}")
-        meta = json.loads(sidecar.read_text())
+        try:
+            meta = json.loads(sidecar.read_text())
+        except ValueError as exc:
+            raise PolicyError(f"{sidecar.name}: not JSON: {exc}") from None
+        if not isinstance(meta, dict) or not isinstance(meta.get("id", ""), str):
+            raise PolicyError(f"{sidecar.name}: the sidecar must be a JSON object, its id a string")
         template = PolicyTemplate(
             id=meta.get("id", query_file.stem),
             description=meta.get("description", ""),
             query_template=query_file.read_text(),
             failure_penalty=meta.get("failure_penalty"),
-            side=meta.get("side", USER_SIDE),
         )
+        if template.id in taken:
+            raise PolicyError(f"{template.id}: policy id already in use")
+        taken.add(template.id)
+        if meta.get("side", "user") != "user":
+            raise PolicyError(f"{template.id}: extension policies are user-side checks")
         penalty = template.failure_penalty
         if penalty is not None and penalty not in USER_PENALTIES + ORG_PENALTIES:
             raise PolicyError(f"{template.id}: unknown failure penalty {penalty!r}")

@@ -433,10 +433,11 @@ class TrustRegistry:
         return True
 
     def set_score(self, principal_iri: str, score_name: str, value) -> TrustRecord:
-        """Versioned direct write (harness and test state resets)."""
-        if score_name not in SCORE_NAMES:
-            raise TrustError(f"unknown score name: {score_name}")
-        return self._write_score(self.get(principal_iri), score_name, as_score(value))
+        """Versioned direct write of a score its kind carries (harness and test resets)."""
+        record = self.get(principal_iri)
+        if score_name not in record.scores():
+            raise PrincipalKindError(f"a {record.principal.kind} has no score {score_name!r}")
+        return self._write_score(record, score_name, as_score(value))
 
     def take_events(self) -> list[tuple[str, str, Decimal, int]]:
         """Drain (principal, score, value, version) mutation events."""

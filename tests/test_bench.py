@@ -21,7 +21,7 @@ from trustgate.middleware import STAGES
 
 class TestLatencyHarness:
     def test_small_run_shape(self):
-        report = run_latency(sizes=[50, 200], transactions=25, seed=3, warmup=2)
+        report = run_latency(sizes=[50, 200], transactions=25, seed=3)
         assert report.sizes == (50, 200)
         assert report.transaction_count == 25
         for size in report.sizes:
@@ -35,13 +35,13 @@ class TestLatencyHarness:
         # rows are copied, not sorted, so 950 more rows cost less than a
         # retrieval's fixed part; at 10k the growth stands well above the
         # host's drift between the two sizes' runs
-        report = run_latency(sizes=[50, 10_000], transactions=30, seed=3, warmup=2)
+        report = run_latency(sizes=[50, 10_000], transactions=30, seed=3)
         small = report.stats[50]["dataRetrieval"]["mean"]
         large = report.stats[10_000]["dataRetrieval"]["mean"]
         assert large > small
 
     def test_single_transaction_degenerate(self):
-        report = run_latency(sizes=[20], transactions=1, seed=3, warmup=0)
+        report = run_latency(sizes=[20], transactions=1, seed=3)
         stats = report.stats[20]["dataRetrieval"]
         assert stats["mean"] == stats["p50"] == stats["p95"]
 
@@ -49,7 +49,7 @@ class TestLatencyHarness:
         import time
 
         start = time.perf_counter()
-        report = run_latency(sizes=[100], transactions=20, seed=3, warmup=0)
+        report = run_latency(sizes=[100], transactions=20, seed=3)
         elapsed = time.perf_counter() - start
         total_staged = sum(
             report.stats[100][stage]["mean"] * report.transaction_count for stage in STAGES
@@ -138,7 +138,7 @@ class TestTrajectoryHarness:
 
 class TestReports:
     def latency_report(self):
-        return run_latency(sizes=[30, 60], transactions=5, seed=4, warmup=0)
+        return run_latency(sizes=[30, 60], transactions=5, seed=4)
 
     def test_latency_csv_layout(self, tmp_path):
         report = self.latency_report()

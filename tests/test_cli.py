@@ -6,8 +6,9 @@ from importlib import resources
 
 import pytest
 
-from trustgate.cli import main
-from trustgate.middleware import MiddlewareHTTPServer
+from trustgate.cli import build_parser, main
+from trustgate.middleware import MiddlewareError, MiddlewareHTTPServer
+from trustgate.policy import PolicyError
 from trustgate.ontology import bootstrap_vocabulary
 from trustgate.store import RDF_NS, SYN_NS, Graph, iri, load_lines, serialize_lines
 
@@ -141,6 +142,38 @@ class TestServe:
             capsys.readouterr().err,
         )
         assert started and int(started.group(1)) == len(graph)
+
+
+    @pytest.mark.parametrize("value", ["-1", "0", "-0.5", "nan", "1e20", "soon"])
+    def test_propagate_interval_must_be_a_usable_positive_sleep(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["serve", "--data", "d", "--propagate-interval", value])
+        assert exc.value.code == 2
+        assert "--propagate-interval" in capsys.readouterr().err
+
+    def test_propagate_interval_keeps_a_positive_value(self):
+        args = build_parser().parse_args(["serve", "--data", "d", "--propagate-interval", "0.25"])
+        assert args.propagate_interval == 0.25
+
+    @pytest.mark.parametrize("option, name, text, error", [
+        ("--config", "node.conf", "treshold=0.5\n", MiddlewareError),
+        ("--policy-dir", "policies", '{"id": "requested-data-in-dua"}', PolicyError),
+    ])
+    def test_refused_settings_stop_serve_before_it_serves(
+        self, dataset, tmp_path, monkeypatch, option, name, text, error
+    ):
+        served = []
+        monkeypatch.setattr(MiddlewareHTTPServer, "serve_forever", served.append)
+        target = tmp_path / name
+        if option == "--policy-dir":
+            target.mkdir()
+            (target / "scope.rq").write_text('ASK{ ?user a tst:User . }')
+            (target / "scope.json").write_text(text)
+        else:
+            target.write_text(text)
+        with pytest.raises(error):
+            main(["serve", "--data", str(dataset), "--listen", "127.0.0.1:0", option, str(target)])
+        assert served == []
 
 
 class TestBenchCli:

@@ -746,11 +746,10 @@ class TestPropagationOverHttp:
         dead = "http://127.0.0.1:9"
         try:
             node_a = self.build_node(demo_spec, "node-a", peers=[server_b.url, dead])
-            node_a._http_timeout = 0.2
             node_a.handle_request(
                 node_a.build_request(demo_manifest.users[7].iri, PATIENT, PUBLIC_HEALTH)
             )
-            results = node_a.propagate_scores(max_attempts=2, backoff=0.01)
+            results = node_a.propagate_scores()
             assert results[server_b.url]["ok"] is True
             assert results[dead]["ok"] is False
             assert len(node_a.pending_updates()) == 1
@@ -786,7 +785,7 @@ class TestPropagationOverHttp:
 
     def test_empty_queue_no_traffic(self, demo_spec):
         node_a = self.build_node(demo_spec, "node-a", peers=["http://127.0.0.1:9"])
-        results = node_a.propagate_scores(max_attempts=1)
+        results = node_a.propagate_scores()
         assert results == {"http://127.0.0.1:9": {"ok": True, "delivered": 0}}
 
 

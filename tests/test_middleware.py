@@ -1,10 +1,12 @@
 import gc
+import inspect
 import json
 import random
 import sys
 import threading
 import time
 from dataclasses import replace
+from pathlib import Path
 from decimal import Decimal
 from typing import Optional
 
@@ -12,12 +14,14 @@ import pytest
 
 from trustgate import ontology as vocab
 from trustgate.middleware import (
+    CONFIG_KEYS,
     STAGE_CREDIBILITY,
     STAGE_POLICY,
     STAGE_RETRIEVAL,
     STAGE_TRUST_UPDATE,
     DataResponse,
     ExchangeMiddleware,
+    MiddlewareError,
     RequestValidationError,
     ScoreUpdate,
     configs_from_mapping,
@@ -25,10 +29,10 @@ from trustgate.middleware import (
     start_server,
 )
 from trustgate.ontology import DuaRecord, bootstrap_vocabulary
-from trustgate.policy import load_policy_dir, register_builtin_policies
+from trustgate.policy import P_REQUESTED_DATA, PolicyError, load_policy_dir
 from trustgate.store import XSD_FLOAT, Graph, SYN_NS, Triple, _json_row, iri, plain, serialize_term, typed
 from trustgate.synth import GeneratorSpec, demographics_manifest, generate_dataset
-from trustgate.trust import PenaltyConfig, UnknownPrincipalError
+from trustgate.trust import AssessmentConfig, PenaltyConfig, UnknownPrincipalError
 
 from graph_match import match
 
@@ -139,7 +143,7 @@ class TestExchangeCycle:
             {"id": "label-allowlist", "side": "user", "failure_penalty": "missingCategory"}
         ))
         service = ExchangeMiddleware(
-            demo_graph, policies=register_builtin_policies() + load_policy_dir(tmp_path)
+            demo_graph, policies=load_policy_dir(tmp_path)
         )
         # the second organization's agreement grants Patient for public health
         request = service.build_request(user(demo_manifest, 1), PATIENT, PUBLIC_HEALTH)
@@ -153,6 +157,27 @@ class TestExchangeCycle:
             {"type": "missingCategory", "category": PATIENT, "custodian": custodian},
         )
         assert service.registry.get(user(demo_manifest, 1)).behavior == Decimal("1")
+
+    def test_sidecar_reusing_a_builtin_id_cannot_grant(self, demo_graph, demo_manifest, tmp_path):
+        # a replacement of the agreement-scope check that holds for every
+        # user; org_05's agreement covers only Encounter, so in place of the
+        # built-in it would grant org_05's user every Patient row
+        (tmp_path / "scope.rq").write_text(
+            "ASK {\n"
+            "   ?user a tst:User .\n"
+            '   ?user rdfs:label "{userLabel}"^^rdf:PlainLiteral .\n'
+            "}\n"
+        )
+        (tmp_path / "scope.json").write_text(json.dumps({"id": P_REQUESTED_DATA}))
+        with pytest.raises(PolicyError, match="already in use"):
+            load_policy_dir(tmp_path)
+        service = ExchangeMiddleware(demo_graph)
+        request = service.build_request(user(demo_manifest, 4), PATIENT, PUBLIC_HEALTH)
+        assert request.user.affiliation == SYN_NS + "org_05"
+        response = service.handle_request(request)
+        assert response.decision.granted is False
+        assert response.decision.compliance.outcome(P_REQUESTED_DATA) is False
+        assert response.records is None
 
     def test_low_trust_denies_without_penalty(self, service, demo_manifest):
         service.registry.set_score(user(demo_manifest, 0), "behavior", "0.5")
@@ -414,38 +439,46 @@ class TestPropagationQueue:
         assert pending[0].value == "0.98"
 
     def test_unreachable_peer_retains_updates(self, demo_graph, demo_manifest):
-        service = ExchangeMiddleware(
-            demo_graph, peers=["http://127.0.0.1:9"], http_timeout=0.2
-        )
+        service = ExchangeMiddleware(demo_graph, peers=["http://127.0.0.1:9"])
         service.handle_request(
             service.build_request(user(demo_manifest, 7), PATIENT, PUBLIC_HEALTH)
         )
-        results = service.propagate_scores(max_attempts=2, backoff=0.01)
+        results = service.propagate_scores()
         assert results["http://127.0.0.1:9"]["ok"] is False
         assert len(service.pending_updates()) == 1
 
-    def test_unconfigured_peer_loses_no_update_to_pruning(self, demo_graph, demo_manifest):
-        configured, extra = "http://peer-a", "http://peer-b"
-        service = ExchangeMiddleware(demo_graph, peers=[configured])
+    def test_peer_that_fails_first_loses_no_update_to_pruning(self, demo_graph, demo_manifest):
+        # peer b refuses every POST of the first two rounds, so peer a's
+        # acknowledgements run ahead of b's; pruning must keep what b lacks
+        peer_a, peer_b = "http://peer-a", "http://peer-b"
+        service = ExchangeMiddleware(demo_graph, peers=[peer_a, peer_b])
         sent: dict[str, list[int]] = {}
-        service._post_json = lambda url, payload: sent.setdefault(url, []).extend(
-            u["version"] for u in payload["updates"]
-        )
+        down = [peer_b]
+
+        def post(url, payload):
+            if url.startswith(tuple(down)):
+                raise OSError("connection refused")
+            sent.setdefault(url, []).extend(u["version"] for u in payload["updates"])
+
+        service._post_json = post
         principal = user(demo_manifest, 3)
 
         def queue(versions):
             service._enqueue([(principal, "behavior", Decimal("0.5"), v) for v in versions])
 
         queue([1, 2])
-        service.propagate_scores(peers=[extra])
+        assert service.propagate_scores()[peer_b]["ok"] is False
         queue([3, 4, 5])
-        service.propagate_scores(peers=[configured])
+        service.propagate_scores()
         assert min(service._peer_cursor.values()) >= 0
+        assert [u.version for u in service.pending_updates()] == [1, 2, 3, 4, 5]
+        down.clear()
         queue([6, 7, 8, 9])
-        service.propagate_scores(peers=[extra])
-        assert sent[configured + "/peers/scores"] == [1, 2, 3, 4, 5]
-        assert sent[extra + "/peers/scores"] == [1, 2, 3, 4, 5, 6, 7, 8, 9]
+        service.propagate_scores()
+        assert sent[peer_a + "/peers/scores"] == [1, 2, 3, 4, 5, 6, 7, 8, 9]
+        assert sent[peer_b + "/peers/scores"] == [1, 2, 3, 4, 5, 6, 7, 8, 9]
         assert min(service._peer_cursor.values()) >= 0
+        assert service.pending_updates() == []
 
 
 class TestReceiveScores:
@@ -793,15 +826,69 @@ class TestConfig:
             "penalize_org_identity=true\n"
             "completeness_sample=10\n"
         )
-        assessment, penalties, extras = configs_from_mapping(parse_config_text(text))
+        options = configs_from_mapping(parse_config_text(text))
+        assessment, penalties = options["assessment"], options["penalties"]
         assert str(assessment.threshold) == "0.8"
         assert str(penalties.dua_violation) == "0.05"
         assert penalties.tolerance_grace == 2
         assert penalties.penalize_org_identity is True
-        assert extras["completeness_sample"] == 10
+        assert options["completeness_sample"] == 10
 
     def test_bad_line_is_error(self):
-        from trustgate.middleware import MiddlewareError
-
         with pytest.raises(MiddlewareError):
             parse_config_text("threshold 0.8")
+
+    def test_key_set_twice_is_refused(self):
+        with pytest.raises(MiddlewareError, match="line 3: threshold is already set"):
+            parse_config_text("threshold=0.5\n# stricter\nthreshold=0.95\n")
+
+    def test_keys_left_out_keep_the_class_defaults(self):
+        assert configs_from_mapping({}) == {
+            "assessment": AssessmentConfig(), "penalties": PenaltyConfig(),
+        }
+        assert configs_from_mapping({"tolerance_grace": "3"}) == {
+            "assessment": AssessmentConfig(), "penalties": PenaltyConfig(tolerance_grace=3),
+        }
+
+    @pytest.mark.parametrize("line", [
+        "treshold=0.5",
+        "threshold=abc",
+        "threshold=2",
+        "w_behavior=-1",
+        "dua_violation=0",
+        "tolerance_grace=x",
+        "tolerance_grace=-1",
+        "penalize_org_identity=ture",
+        "completeness_sample=0",
+        "completeness_sample=-3",
+        "completeness_sample=2.5",
+    ])
+    def test_unknown_key_or_bad_value_is_refused_by_name(self, line):
+        key = line.partition("=")[0]
+        with pytest.raises(MiddlewareError, match=key):
+            configs_from_mapping(parse_config_text(line))
+
+    def test_weights_that_are_both_zero_are_refused(self):
+        with pytest.raises(MiddlewareError, match="weights"):
+            configs_from_mapping({"w_behavior": "0", "w_identity": "0"})
+
+    @pytest.mark.parametrize("text, expected", [
+        ("true", True), ("YES", True), ("1", True), ("false", False), ("No", False), ("0", False),
+    ])
+    def test_flag_spellings(self, text, expected):
+        options = configs_from_mapping({"penalize_org_identity": text})
+        assert options["penalties"].penalize_org_identity is expected
+
+    def test_readme_config_block_lists_every_key_with_its_default(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        block = readme.split("\n## Configuration\n", 1)[1].split("```", 2)[1]
+        documented = parse_config_text(block)
+        assert set(documented) == set(CONFIG_KEYS)
+        applied = {"assessment": AssessmentConfig(), "penalties": PenaltyConfig()}
+        sample = inspect.signature(ExchangeMiddleware).parameters["completeness_sample"].default
+        # each documented value, set alone, changes nothing the node applies
+        for key, text in documented.items():
+            expected = dict(applied, completeness_sample=sample) if key == "completeness_sample" \
+                else applied
+            assert configs_from_mapping({key: text}) == expected, key
+        assert configs_from_mapping(documented) == dict(applied, completeness_sample=sample)

@@ -16,6 +16,7 @@ from trustgate.policy import (
     DataRequest,
     PolicyEngine,
     PolicyError,
+    PolicyTemplate,
     SubstitutionError,
     completeness_probe,
     instantiate,
@@ -380,10 +381,58 @@ class TestPolicyDir:
             load_policy_dir(tmp_path)
 
 
+    @staticmethod
+    def write_policy(directory, stem, meta, query='ASK{ ?x a tst:User . }'):
+        (directory / f"{stem}.rq").write_text(query)
+        (directory / f"{stem}.json").write_text(meta if isinstance(meta, str) else json.dumps(meta))
+
+    @pytest.mark.parametrize("policy_id", [
+        P_DUA_EXISTS, P_REQUESTED_DATA, P_CUSTODIAN_HAS_CATEGORY, P_PURPOSE_PERMITTED,
+    ])
+    def test_sidecar_reusing_a_builtin_id_is_refused(self, tmp_path, policy_id):
+        self.write_policy(tmp_path, "replacement", {"id": policy_id})
+        with pytest.raises(PolicyError, match="already in use"):
+            load_policy_dir(tmp_path)
+
+    def test_two_sidecars_with_one_id_are_refused(self, tmp_path):
+        self.write_policy(tmp_path, "first", {"id": "clearance"})
+        self.write_policy(tmp_path, "second", {"id": "clearance"})
+        with pytest.raises(PolicyError, match="already in use"):
+            load_policy_dir(tmp_path)
+
+    @pytest.mark.parametrize("side", ["custodian", "recipient", None])
+    def test_side_other_than_user_is_refused(self, tmp_path, side):
+        self.write_policy(tmp_path, "held", {"id": "held", "side": side})
+        with pytest.raises(PolicyError, match="user-side"):
+            load_policy_dir(tmp_path)
+
+    def test_category_list_placeholder_is_refused(self, tmp_path):
+        self.write_policy(
+            tmp_path, "listed", {"id": "listed"},
+            query="ASK{ ?x dua:requestedData ?c . FILTER(STR(?c) IN ( {categoryList} )) }",
+        )
+        with pytest.raises(PolicyError, match="unknown placeholders"):
+            load_policy_dir(tmp_path)
+
+    @pytest.mark.parametrize("meta", [
+        '["clearance"]', '"clearance"', "3", "null", "{id: 1", '{"id": ["clearance"]}',
+    ])
+    def test_sidecar_that_is_not_a_json_object_is_refused(self, tmp_path, meta):
+        self.write_policy(tmp_path, "clearance", meta)
+        with pytest.raises(PolicyError, match="clearance.json"):
+            load_policy_dir(tmp_path)
+
+    def test_engine_refuses_an_extension_with_a_builtin_id(self, demo_graph):
+        replacement = PolicyTemplate(
+            id=P_REQUESTED_DATA, description="", failure_penalty=None,
+            query_template='ASK{ ?user rdfs:label "{userLabel}"^^rdf:PlainLiteral . }',
+        )
+        with pytest.raises(PolicyError, match="cannot be replaced"):
+            PolicyEngine(demo_graph, extensions=[replacement])
+
+
 class TestExtensionPolicies:
     def engine_with_extension(self, graph, tmp_path, failure_penalty=None):
-        from trustgate.policy import register_builtin_policies
-
         meta = {"id": "label-allowlist", "side": "user"}
         if failure_penalty:
             meta["failure_penalty"] = failure_penalty
@@ -395,8 +444,7 @@ class TestExtensionPolicies:
             "}\n"
         )
         (tmp_path / "label-allowlist.json").write_text(json.dumps(meta))
-        templates = register_builtin_policies() + load_policy_dir(tmp_path)
-        return PolicyEngine(graph, templates=templates)
+        return PolicyEngine(graph, load_policy_dir(tmp_path))
 
     def test_extension_participates_in_compliance(self, demo_graph, demo_manifest, tmp_path):
         engine = self.engine_with_extension(demo_graph, tmp_path)

@@ -381,6 +381,16 @@ class TestReplication:
         assert registry.snapshot()[stranger]["scores"] == {"identity": "0.5", "credibility": "1.0"}
 
 
+    def test_set_score_refuses_a_score_the_kind_does_not_carry(self):
+        registry = make_registry()
+        before = registry.snapshot()
+        for principal, score in ((ORG, BEHAVIOR), (ALICE, CREDIBILITY_SCORE)):
+            with pytest.raises(PrincipalKindError):
+                registry.set_score(principal, score, "0.5")
+        assert registry.snapshot() == before
+        assert registry.take_events() == []
+
+
 class TestGraphProjection:
     def test_projection_tracks_mutations(self):
         graph = Graph()
