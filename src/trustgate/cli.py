@@ -12,11 +12,17 @@ import threading
 import time
 
 from .bench import SCENARIOS, emit_report, run_latency, run_trajectory
-from .middleware import ExchangeMiddleware, MiddlewareHTTPServer, load_config
+from .middleware import (
+    DEFAULT_NODE_ID,
+    ExchangeMiddleware,
+    MiddlewareError,
+    MiddlewareHTTPServer,
+    load_config,
+)
 from .ontology import bootstrap_vocabulary, validate_instances
-from .policy import load_policy_dir
+from .policy import PolicyError, load_policy_dir
 from .query import eval_ask, eval_select, eval_update, parse as parse_query
-from .store import Graph, load_lines, serialize_lines
+from .store import Graph, StoreError, load_lines, serialize_lines
 from .synth import GeneratorSpec, generate_dataset
 
 logger = logging.getLogger(__name__)
@@ -216,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--peers", help="comma-separated peer base URLs")
     p.add_argument("--listen", default="127.0.0.1:8080")
     p.add_argument("--log", help="append-only transaction log path")
-    p.add_argument("--node-id", default="node-1")
+    p.add_argument("--node-id", default=DEFAULT_NODE_ID)
     p.add_argument("--propagate-interval", type=_interval, default=1.0,
                    help="seconds between score deliveries to the peers (0 < s <= 86400)")
     p.set_defaults(func=_cmd_serve)
@@ -245,8 +251,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except (MiddlewareError, PolicyError, StoreError, OSError) as exc:
+        # a refused input: a file that does not open, a setting, policy or
+        # dataset the node refuses, an address it cannot listen on
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

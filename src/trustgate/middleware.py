@@ -63,6 +63,9 @@ STAGE_RETRIEVAL = "dataRetrieval"
 DECISION_STAGES = (STAGE_POLICY, STAGE_CREDIBILITY, STAGE_TRUST_UPDATE)
 STAGES = DECISION_STAGES + (STAGE_RETRIEVAL,)
 
+# the id a node gives its score updates and health reply, unless one is set
+DEFAULT_NODE_ID = "node-1"
+
 # a POST body longer than this is refused before any of it is read
 MAX_BODY_BYTES = 1 << 20
 
@@ -323,7 +326,7 @@ class ExchangeMiddleware:
         assessment: Optional[AssessmentConfig] = None,
         penalties: Optional[PenaltyConfig] = None,
         policies: Iterable[PolicyTemplate] = (),  # extensions; the built-ins always run
-        node_id: str = "node-1",
+        node_id: str = DEFAULT_NODE_ID,
         peers: Iterable[str] = (),
         log_path: Optional[str] = None,
         completeness_sample: int = COMPLETENESS_SAMPLE,

@@ -58,7 +58,6 @@ COMPLETENESS_SAMPLE = 25
 @dataclass(frozen=True)
 class PolicyTemplate:
     id: str
-    description: str
     query_template: str
     failure_penalty: Optional[str]
 
@@ -120,15 +119,14 @@ _PURPOSE_PERMITTED_TEMPLATE = """ASK{
 def register_builtin_policies() -> list[PolicyTemplate]:
     """The four built-in policies in evaluation order."""
     return [PolicyTemplate(*row) for row in (
-        (P_DUA_EXISTS, "an agreement exists between the user's organization and the custodian",
-         _DUA_EXISTS_TEMPLATE, NO_DUA_REQUEST),
-        (P_REQUESTED_DATA, "the requested data category is granted by the agreement",
-         _REQUESTED_DATA_TEMPLATE, DUA_VIOLATION),
-        (P_CUSTODIAN_HAS_CATEGORY, "the custodian holds a data category the agreement requests",
-         _CUSTODIAN_HAS_CATEGORY_TEMPLATE, MISSING_CATEGORY),
-        (P_PURPOSE_PERMITTED,
-         "the request's purpose is a permitted use or disclosure of the agreement",
-         _PURPOSE_PERMITTED_TEMPLATE, DUA_VIOLATION),
+        # an agreement exists between the user's organization and the custodian
+        (P_DUA_EXISTS, _DUA_EXISTS_TEMPLATE, NO_DUA_REQUEST),
+        # the requested data category is granted by the agreement
+        (P_REQUESTED_DATA, _REQUESTED_DATA_TEMPLATE, DUA_VIOLATION),
+        # the custodian holds a data category the agreement requests
+        (P_CUSTODIAN_HAS_CATEGORY, _CUSTODIAN_HAS_CATEGORY_TEMPLATE, MISSING_CATEGORY),
+        # the request's purpose is a permitted use or disclosure of the agreement
+        (P_PURPOSE_PERMITTED, _PURPOSE_PERMITTED_TEMPLATE, DUA_VIOLATION),
     )]
 
 
@@ -474,7 +472,6 @@ def load_policy_dir(path) -> list[PolicyTemplate]:
             raise PolicyError(f"{sidecar.name}: the sidecar must be a JSON object, its id a string")
         template = PolicyTemplate(
             id=meta.get("id", query_file.stem),
-            description=meta.get("description", ""),
             query_template=query_file.read_text(),
             failure_penalty=meta.get("failure_penalty"),
         )

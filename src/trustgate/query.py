@@ -490,9 +490,7 @@ def order_patterns(patterns: list[TriplePattern], graph: Graph) -> list[TriplePa
     """
     entries = []
     for idx, pattern in enumerate(patterns):
-        lookup = tuple(
-            node if isinstance(node, Term) else None for node in pattern.positions()
-        )
+        lookup = tuple(node if isinstance(node, Term) else None for node in pattern)
         entries.append((idx, pattern, lookup, pattern.variables()))
     bound: set[str] = set()
     order: list[TriplePattern] = []
@@ -631,10 +629,7 @@ def eval_select(ast: QueryAst, graph: Graph) -> BindingSet:
 
 
 def _instantiate(pattern: TriplePattern, binding: dict) -> Triple:
-    parts = []
-    for node in pattern.positions():
-        parts.append(binding[node.name] if isinstance(node, Var) else node)
-    return Triple(*parts)
+    return Triple(*(binding[node.name] if isinstance(node, Var) else node for node in pattern))
 
 
 def eval_update(ast: QueryAst, graph: Graph) -> UpdateSummary:

@@ -1,22 +1,25 @@
 """In-memory triple store with set semantics, two pattern-matching indexes,
 and a line-oriented bulk format.
 
-Terms are immutable once constructed; graphs keep subject- and
-predicate-keyed indexes, so a pattern with a bound predicate is a couple of
-dict hops. Patterns with an unbound predicate scan SPO: `(s, ?, o)` the
-subject's entry, `(?, ?, o)` the whole graph; no shipped query binds the
-object without the predicate. An index leaf with one member is that bare
-term; it becomes an insertion-ordered dict when a second member arrives and
-a bare term again when it is down to one, so both forms iterate in
-insertion order and capped, unsorted iteration is deterministic for a given
-build sequence. A predicate-object dict leaf maps each member subject to its
-JSON row as bytes, or to None until `Graph.subject_rows` first reads it.
+Terms, variables and patterns are checked named tuples: they compare and
+hash as tuples, in C, and equal terms need not be one object. Graphs keep
+subject- and predicate-keyed indexes, so a pattern with a bound predicate
+is a couple of dict hops. Patterns with an unbound predicate scan SPO:
+`(s, ?, o)` the subject's entry, `(?, ?, o)` the whole graph; no shipped
+query binds the object without the predicate. An index leaf with one
+member is that bare term; it becomes an insertion-ordered dict when a
+second member arrives and a bare term again when it is down to one, so
+both forms iterate in insertion order and capped, unsorted iteration is
+deterministic for a given build sequence. A predicate-object dict leaf maps
+each member subject to its JSON row as bytes, or to None until
+`Graph.subject_rows` first reads it.
 """
 
 from __future__ import annotations
 
 import io
 import re
+from collections import namedtuple
 from decimal import Decimal, InvalidOperation
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
@@ -72,16 +75,18 @@ def _check_iri(value: str, what: str) -> None:
         raise TermError(f"{what} contains whitespace: {value!r}")
 
 
-class Term:
+class Term(namedtuple("Term", "kind lexical datatype")):
     """An IRI, plain literal, or typed literal.
 
-    Equality is the (kind, lexical, datatype) triple; "1.0" and "1.00" are
-    distinct typed literals even though they denote the same number.
+    A term is its (kind, lexical, datatype) tuple: equality and hashing are
+    the tuple's own, so "1.0" and "1.00" are distinct typed literals even
+    though they denote the same number. `__new__` holds every check;
+    `_make` and `_replace` skip them, and nothing calls them.
     """
 
-    __slots__ = ("kind", "lexical", "datatype", "_hash")
+    __slots__ = ()
 
-    def __init__(self, kind: str, lexical: str, datatype: Optional[str] = None):
+    def __new__(cls, kind: str, lexical: str, datatype: Optional[str] = None):
         if kind == IRI:
             _check_iri(lexical, "IRI")
             if datatype is not None:
@@ -101,27 +106,10 @@ class Term:
                     raise TermError(f"unparsable float literal: {lexical!r}") from None
         else:
             raise TermError(f"unknown term kind: {kind!r}")
-        self.kind = kind
-        self.lexical = lexical
-        self.datatype = datatype
-        self._hash = hash((kind, lexical, datatype))
+        return tuple.__new__(cls, (kind, lexical, datatype))
 
     def sort_key(self):
         return (self.lexical, self.kind, self.datatype or "")
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            isinstance(other, Term)
-            and self._hash == other._hash
-            and self.kind == other.kind
-            and self.lexical == other.lexical
-            and self.datatype == other.datatype
-        )
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         if self.kind == IRI:
@@ -143,19 +131,10 @@ def typed(lexical: str, datatype: str) -> Term:
     return Term(TYPED_LITERAL, lexical, datatype)
 
 
-class Var:
+class Var(namedtuple("Var", "name")):
     """A named variable in a triple pattern."""
 
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __eq__(self, other):
-        return isinstance(other, Var) and self.name == other.name
-
-    def __hash__(self):
-        return hash(("?", self.name))
+    __slots__ = ()
 
     def __repr__(self):
         return f"?{self.name}"
@@ -164,7 +143,7 @@ class Var:
 class Triple:
     """A subject-predicate-object statement; subject and predicate are IRIs."""
 
-    __slots__ = ("subject", "predicate", "object", "_hash")
+    __slots__ = ("subject", "predicate", "object")
 
     def __init__(self, subject: Term, predicate: Term, object: Term):
         if not isinstance(subject, Term) or subject.kind != IRI:
@@ -176,54 +155,13 @@ class Triple:
         self.subject = subject
         self.predicate = predicate
         self.object = object
-        self._hash = hash((subject._hash, predicate._hash, object._hash))
 
     def sort_key(self):
         return (self.subject.sort_key(), self.predicate.sort_key(), self.object.sort_key())
 
     def __eq__(self, other):
-        if self is other:
-            return True
-        # interned terms make most component checks an identity hit
         return (
             isinstance(other, Triple)
-            and self._hash == other._hash
-            and (self.subject is other.subject or self.subject == other.subject)
-            and (self.predicate is other.predicate or self.predicate == other.predicate)
-            and (self.object is other.object or self.object == other.object)
-        )
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"({self.subject!r} {self.predicate!r} {self.object!r})"
-
-
-class TriplePattern:
-    """A triple whose positions may be variables; zero variables is a
-    membership test."""
-
-    __slots__ = ("subject", "predicate", "object", "_vars")
-
-    def __init__(self, subject, predicate, object):
-        for node in (subject, predicate, object):
-            if not isinstance(node, (Term, Var)):
-                raise TermError(f"pattern positions must be Term or Var, got {node!r}")
-        self.subject = subject
-        self.predicate = predicate
-        self.object = object
-        self._vars = tuple(p.name for p in (subject, predicate, object) if isinstance(p, Var))
-
-    def positions(self):
-        return (self.subject, self.predicate, self.object)
-
-    def variables(self) -> tuple[str, ...]:
-        return self._vars
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TriplePattern)
             and self.subject == other.subject
             and self.predicate == other.predicate
             and self.object == other.object
@@ -231,6 +169,25 @@ class TriplePattern:
 
     def __hash__(self):
         return hash((self.subject, self.predicate, self.object))
+
+    def __repr__(self):
+        return f"({self.subject!r} {self.predicate!r} {self.object!r})"
+
+
+class TriplePattern(namedtuple("TriplePattern", "subject predicate object")):
+    """A triple whose positions may be variables; zero variables is a
+    membership test. Iterating a pattern gives its three positions."""
+
+    __slots__ = ()
+
+    def __new__(cls, subject, predicate, object):
+        for node in (subject, predicate, object):
+            if not isinstance(node, (Term, Var)):
+                raise TermError(f"pattern positions must be Term or Var, got {node!r}")
+        return tuple.__new__(cls, (subject, predicate, object))
+
+    def variables(self) -> tuple[str, ...]:
+        return tuple(node.name for node in self if isinstance(node, Var))
 
     def __repr__(self):
         return f"({self.subject!r} {self.predicate!r} {self.object!r})"
@@ -346,7 +303,7 @@ class Graph:
             return False
         if type(leaf) is dict:
             return o in leaf
-        return leaf is o or leaf == o
+        return leaf == o
 
     def objects_for(self, s: Term, p: Term):
         """The objects of `(s, p)`: a one-term tuple, or the live index dict."""
@@ -466,7 +423,7 @@ def _link(index: dict, a: Term, b: Term, c: Term) -> bool:
             return False
         leaf[c] = None
         return True
-    if leaf is c or leaf == c:
+    if leaf == c:
         return False
     second[b] = {leaf: None, c: None}
     return True

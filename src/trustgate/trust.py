@@ -374,7 +374,8 @@ class TrustRegistry:
         The scores that triggered the lock are reset to one and the lock
         marks removed. The pair must currently be locked and the agreement
         must bind exactly this pair; an agreement already at its IRI must
-        bind this pair too, so one pair's rewrite cannot take over another's.
+        bind this pair too, so one pair's rewrite cannot take over another's,
+        and its IRI must not name a registered principal.
         """
         if not self.check_lockout(custodian_iri, recipient_org_iri):
             raise LockStateError(
@@ -385,6 +386,8 @@ class TrustRegistry:
                 "agreement does not bind the locked pair: "
                 f"{new_dua.custodian} -> {new_dua.recipient}"
             )
+        if new_dua.iri in self._records:
+            raise DuaMismatchError(f"{new_dua.iri} names a principal, not an agreement")
         graph = self._graph
         subject = iri(new_dua.iri)
         if graph.contains_spo(subject, RDF_TYPE, DUA_CLASS):

@@ -10,11 +10,10 @@ def match(graph, pattern: TriplePattern) -> list[Triple]:
     Variables are wildcards; a variable repeated within the pattern must
     bind the same term.
     """
-    nodes = pattern.positions()
     out = []
-    for terms in graph.iter_terms(*(node if isinstance(node, Term) else None for node in nodes)):
+    for terms in graph.iter_terms(*(node if isinstance(node, Term) else None for node in pattern)):
         bound = {}
         if all(bound.setdefault(node.name, term) == term
-               for node, term in zip(nodes, terms) if isinstance(node, Var)):
+               for node, term in zip(pattern, terms) if isinstance(node, Var)):
             out.append(Triple(*terms))
     return sorted(out, key=Triple.sort_key)

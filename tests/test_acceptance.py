@@ -208,7 +208,7 @@ def brute_force_solutions(patterns, graph):
         for p in patterns:
             parts = [
                 binding[node.name] if isinstance(node, Var) else node
-                for node in p.positions()
+                for node in p
             ]
             if parts[0].kind != "iri" or parts[1].kind != "iri":
                 ok = False

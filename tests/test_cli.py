@@ -1,14 +1,16 @@
 import csv
+import errno
 import gc
 import json
+import os
 import re
+import socket
 from importlib import resources
 
 import pytest
 
 from trustgate.cli import build_parser, main
-from trustgate.middleware import MiddlewareError, MiddlewareHTTPServer
-from trustgate.policy import PolicyError
+from trustgate.middleware import MiddlewareHTTPServer
 from trustgate.ontology import bootstrap_vocabulary
 from trustgate.store import RDF_NS, SYN_NS, Graph, iri, load_lines, serialize_lines
 
@@ -155,12 +157,15 @@ class TestServe:
         args = build_parser().parse_args(["serve", "--data", "d", "--propagate-interval", "0.25"])
         assert args.propagate_interval == 0.25
 
-    @pytest.mark.parametrize("option, name, text, error", [
-        ("--config", "node.conf", "treshold=0.5\n", MiddlewareError),
-        ("--policy-dir", "policies", '{"id": "requested-data-in-dua"}', PolicyError),
+    @pytest.mark.parametrize("option, name, text, message", [
+        ("--config", "node.conf", "treshold=0.5\n", "unknown config key: treshold"),
+        ("--policy-dir", "policies", '{"id": "requested-data-in-dua"}',
+         "requested-data-in-dua: policy id already in use"),
+        ("--policy-dir", "policies", '["scope"]',
+         "scope.json: the sidecar must be a JSON object, its id a string"),
     ])
     def test_refused_settings_stop_serve_before_it_serves(
-        self, dataset, tmp_path, monkeypatch, option, name, text, error
+        self, dataset, tmp_path, monkeypatch, capsys, option, name, text, message
     ):
         served = []
         monkeypatch.setattr(MiddlewareHTTPServer, "serve_forever", served.append)
@@ -171,8 +176,35 @@ class TestServe:
             (target / "scope.json").write_text(text)
         else:
             target.write_text(text)
-        with pytest.raises(error):
+        with pytest.raises(SystemExit) as exc:
             main(["serve", "--data", str(dataset), "--listen", "127.0.0.1:0", option, str(target)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"trustgate: error: {message}\n")
+        assert served == []
+
+    def test_missing_data_file_stops_serve_before_it_serves(self, tmp_path, monkeypatch, capsys):
+        served = []
+        monkeypatch.setattr(MiddlewareHTTPServer, "serve_forever", served.append)
+        missing = tmp_path / "absent.lines"
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--data", str(missing), "--listen", "127.0.0.1:0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "trustgate: error: " in err and str(missing) in err
+        assert served == []
+
+    def test_address_in_use_stops_serve_before_it_serves(self, dataset, monkeypatch, capsys):
+        served = []
+        monkeypatch.setattr(MiddlewareHTTPServer, "serve_forever", served.append)
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            with pytest.raises(SystemExit) as exc:
+                main(["serve", "--data", str(dataset), "--listen", f"127.0.0.1:{port}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "trustgate: error: " in err and os.strerror(errno.EADDRINUSE) in err
         assert served == []
 
 

@@ -368,6 +368,31 @@ class TestEndpoints:
         status, body = http("POST", server.url + "/requests", clean)
         assert status == 200 and body["decision"]["granted"] is True
 
+    def test_rewrite_aimed_at_a_peer_registered_principal_is_refused(self, server, demo_manifest):
+        # a principal registered by a peer's update carries no rdf:type, and
+        # the rewrite used to retype its IRI as an agreement
+        remote = "http://example.org/remote/user_x"
+        org = demo_manifest.orgs[6]
+        graph = server.service.graph
+        status, _ = http("POST", server.url + "/peers/scores", {"updates": [{
+            "principal": remote, "score": "behavior", "value": "0.5", "version": 5,
+            "origin": "node-x",
+        }]})
+        assert status == 200
+        before = sorted(map(repr, graph.iter_terms(iri(remote), None, None)))
+        server.service.registry.lock_pair(demo_manifest.custodian_iri, org.iri)
+        status, body = http("POST", server.url + "/admin/dua", {
+            "iri": remote, "custodian": demo_manifest.custodian_iri,
+            "recipient": org.iri, "requestedData": [PATIENT],
+            "permittedUseOrDisclosure": [PUBLIC_HEALTH],
+        })
+        assert status == 409
+        assert remote in body["error"]
+        assert sorted(map(repr, graph.iter_terms(iri(remote), None, None))) == before
+        assert server.service.registry.check_lockout(demo_manifest.custodian_iri, org.iri)
+        status, body = http("GET", server.url + "/trust/" + quote(remote, safe=""))
+        assert (status, body["scores"]) == (200, {"identity": "1.0", "behavior": "0.5"})
+
     @staticmethod
     def raw_post_status(server, content_length: str) -> bytes:
         """The status code of a POST that sends `{}` under the given `Content-Length`."""

@@ -424,7 +424,7 @@ class TestPolicyDir:
 
     def test_engine_refuses_an_extension_with_a_builtin_id(self, demo_graph):
         replacement = PolicyTemplate(
-            id=P_REQUESTED_DATA, description="", failure_penalty=None,
+            id=P_REQUESTED_DATA, failure_penalty=None,
             query_template='ASK{ ?user rdfs:label "{userLabel}"^^rdf:PlainLiteral . }',
         )
         with pytest.raises(PolicyError, match="cannot be replaced"):

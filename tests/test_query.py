@@ -315,7 +315,7 @@ def brute_force_solutions(patterns, filters, graph):
         ok = True
         for p in patterns:
             parts = []
-            for node in p.positions():
+            for node in p:
                 parts.append(binding[node.name] if isinstance(node, Var) else node)
             if parts[0].kind != "iri" or parts[1].kind != "iri":
                 ok = False
@@ -452,7 +452,7 @@ def reference_solutions(patterns, filters, graph):
             return
         for t in triples:
             grown = dict(binding)
-            for node, term in zip(rest[0].positions(), (t.subject, t.predicate, t.object)):
+            for node, term in zip(rest[0], (t.subject, t.predicate, t.object)):
                 bound = grown.setdefault(node.name, term) if isinstance(node, Var) else node
                 if bound != term:
                     break

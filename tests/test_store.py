@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import re
 
 import pytest
@@ -193,7 +195,7 @@ def brute_force_match(triples, pattern):
     for trip in triples:
         binding = {}
         ok = True
-        for node, term in zip(pattern.positions(), (trip.subject, trip.predicate, trip.object)):
+        for node, term in zip(pattern, (trip.subject, trip.predicate, trip.object)):
             if isinstance(node, Var):
                 if binding.get(node.name, term) != term:
                     ok = False
@@ -505,6 +507,49 @@ class TestIdentityEquality:
         assert trip == Triple(trip.subject, trip.predicate, typed("0.5", XSD_FLOAT))
         assert trip != Triple(trip.subject, trip.predicate, plain("0.5"))
         assert trip != (trip.subject, trip.predicate, term)
+
+
+# few distinct fields, so that equal pairs are drawn often
+_value_terms = st.one_of(
+    st.builds(iri, st.sampled_from(["a", "s:a", "1.0"])),
+    st.builds(plain, st.sampled_from(["a", "s:a", "1.0", ""])),
+    st.builds(typed, st.sampled_from(["1.0", "1.00"]), st.sampled_from([XSD_FLOAT, "a"])),
+    _json_terms,
+)
+
+
+def _fields(term):
+    return (term.kind, term.lexical, term.datatype)
+
+
+class TestValueSemantics:
+    def test_terms_variables_and_patterns_compare_and_hash_as_tuples(self):
+        for cls in (Term, Var, TriplePattern):
+            assert cls.__eq__ is tuple.__eq__
+            assert cls.__hash__ is tuple.__hash__
+        assert iri("s:a") == (IRI, "s:a", None) and Var("x") == ("x",)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_value_terms, _value_terms)
+    def test_terms_are_equal_exactly_when_their_fields_are(self, a, b):
+        assert (a == b) == (_fields(a) == _fields(b))
+        assert (a != b) == (_fields(a) != _fields(b))
+        assert hash(a) == hash(_fields(a))
+        for other in (Var(a.lexical), Triple(iri("s:a"), iri("p:p"), a), TriplePattern(a, a, b)):
+            assert not (a == other) and a != other
+
+    @settings(max_examples=100, deadline=None)
+    @given(_value_terms)
+    def test_copy_and_pickle_keep_a_term(self, term):
+        for twin in (copy.copy(term), pickle.loads(pickle.dumps(term))):
+            assert type(twin) is Term and _fields(twin) == _fields(term)
+
+    def test_copy_and_pickle_run_the_checks(self):
+        forged = tuple.__new__(Term, (IRI, "a b", None))
+        with pytest.raises(TermError):
+            copy.copy(forged)
+        with pytest.raises(TermError):
+            pickle.loads(pickle.dumps(forged))
 
 
 def leaf_members(leaf):

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from dataclasses import replace
 from decimal import Decimal
 
 import pytest
@@ -335,6 +336,22 @@ class TestRewriteReset:
         other = SYN_NS + "org_09"
         with pytest.raises(DuaMismatchError):
             registry.rewrite_dua_reset(CUSTODIAN, ORG, fresh_dua(recipient=other))
+
+    def test_rewrite_aimed_at_a_peer_registered_principal_is_refused(self):
+        # a principal a peer's update registered carries no rdf:type, so the
+        # rewrite used to retype its IRI as an agreement and drop its score
+        graph = Graph()
+        bootstrap_vocabulary(graph)
+        registry = make_registry(graph)
+        remote = "http://example.org/remote/user_x"
+        assert registry.apply_remote(remote, BEHAVIOR, "0.5", 5) is True
+        registry.lock_pair(CUSTODIAN, ORG)
+        triples, records = graph.triples(), registry.snapshot()
+        with pytest.raises(DuaMismatchError, match=remote):
+            registry.rewrite_dua_reset(CUSTODIAN, ORG, replace(fresh_dua(), iri=remote))
+        assert graph.triples() == triples
+        assert registry.snapshot() == records
+        assert match(graph, TriplePattern(iri(remote), BEHAVIOR_TRUST, Var("o")))
 
 
 class TestReplication:
