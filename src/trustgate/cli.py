@@ -21,7 +21,7 @@ from .middleware import (
 )
 from .ontology import bootstrap_vocabulary, validate_instances
 from .policy import PolicyError, load_policy_dir
-from .query import eval_ask, eval_select, eval_update, parse as parse_query
+from .query import QueryError, eval_ask, eval_select, eval_update, parse as parse_query
 from .store import Graph, StoreError, load_lines, serialize_lines
 from .synth import GeneratorSpec, generate_dataset
 
@@ -93,7 +93,6 @@ def _cmd_serve(args) -> int:
     graph = _load_graph(args.data)
     load_s = time.perf_counter() - started
     peers = [p for p in (args.peers.split(",") if args.peers else []) if p]
-    host, _, port = args.listen.partition(":")
     service = ExchangeMiddleware(
         graph,
         policies=load_policy_dir(args.policy_dir) if args.policy_dir else (),
@@ -102,7 +101,7 @@ def _cmd_serve(args) -> int:
         log_path=args.log,
         **(load_config(args.config) if args.config else {}),
     )
-    server = MiddlewareHTTPServer((host or "127.0.0.1", int(port or 0)), service)
+    server = MiddlewareHTTPServer(args.listen, service)
     if peers:
         def pump():
             while True:
@@ -130,6 +129,13 @@ def _cmd_serve(args) -> int:
         server.server_close()
         service.close()
     return 0
+
+
+def _address(text: str) -> tuple[str, int]:
+    host, colon, port = text.partition(":")
+    if not (colon and port.isascii() and port.isdigit() and int(port) <= 65535):
+        raise argparse.ArgumentTypeError(f"must be HOST:PORT with a port from 0 to 65535: {text}")
+    return host or "127.0.0.1", int(port)
 
 
 def _interval(text: str) -> float:
@@ -220,7 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key=value configuration file")
     p.add_argument("--policy-dir", help="directory of extension policy templates")
     p.add_argument("--peers", help="comma-separated peer base URLs")
-    p.add_argument("--listen", default="127.0.0.1:8080")
+    p.add_argument("--listen", type=_address, default="127.0.0.1:8080", metavar="HOST:PORT",
+                   help="address to listen on; port 0 takes a free one")
     p.add_argument("--log", help="append-only transaction log path")
     p.add_argument("--node-id", default=DEFAULT_NODE_ID)
     p.add_argument("--propagate-interval", type=_interval, default=1.0,
@@ -255,9 +262,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (MiddlewareError, PolicyError, StoreError, OSError) as exc:
-        # a refused input: a file that does not open, a setting, policy or
-        # dataset the node refuses, an address it cannot listen on
+    except (MiddlewareError, PolicyError, QueryError, StoreError, OSError) as exc:
+        # a refused input: a file that does not open, a setting, policy,
+        # dataset or query the node refuses, an address it cannot listen on
         parser.error(str(exc))
 
 

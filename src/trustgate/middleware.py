@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 import socket
+import socketserver
 import threading
 import time
-import urllib.request
 from dataclasses import asdict, dataclass, fields
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http import HTTPStatus
 from typing import Iterable, Optional
 from urllib.parse import unquote, urlparse
 
@@ -608,6 +609,10 @@ class ExchangeMiddleware:
     # -- http client ---------------------------------------------------------------
 
     def _post_json(self, url: str, payload: dict) -> dict:
+        # imported here: it loads http.client, email and ssl, which a node
+        # with no peers never needs
+        import urllib.request
+
         body = json.dumps(payload).encode("utf-8")
         request = urllib.request.Request(
             url, data=body, headers={"Content-Type": "application/json"}, method="POST"
@@ -619,7 +624,7 @@ class ExchangeMiddleware:
 # -- http server ---------------------------------------------------------------
 
 
-class MiddlewareHTTPServer(HTTPServer):
+class MiddlewareHTTPServer(socketserver.TCPServer):
     """The HTTP API. Its handler threads each block in `accept()` on the
     listening socket and serve the connection they get, so no thread is
     started per connection.
@@ -708,37 +713,131 @@ def _send_all(sock: socket.socket, buffers: list) -> None:
             views[0] = views[0][sent:]
 
 
-class _Handler(BaseHTTPRequestHandler):
-    server: MiddlewareHTTPServer
+# the reader's bounds: a request or header line longer than MAX_LINE_BYTES,
+# its line ending counted, is refused, and so is a header block of
+# MAX_HEADER_LINES lines or more, its closing blank line counted
+MAX_LINE_BYTES = 65536
+MAX_HEADER_LINES = 100
 
-    def log_message(self, format, *args):
-        logger.debug("http: " + format, *args)
+_VERSION = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
+# a header field name: visible ASCII but the colon
+_FIELD_NAME = re.compile(rb"[!-9;-~]+")
+_DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
+           "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
 
-    def send_error(self, code, message=None, explain=None):
-        """The parser's refusals, as JSON like every other reply. A request
-        line it cannot read leaves `request_version` at HTTP/0.9, which
-        would drop the status line, so the reply is sent as this server's
-        version."""
-        self.request_version = self.protocol_version
-        self._reply(code, {"error": message or self.responses[code][0]})
+
+def _http_date() -> str:
+    """The time now as an HTTP date (RFC 9110 section 5.6.7), in English
+    whatever the locale."""
+    t = time.gmtime()
+    return (f"{_DAYS[t.tm_wday]}, {t.tm_mday:02d} {_MONTHS[t.tm_mon - 1]} {t.tm_year} "
+            f"{t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT")
+
+
+class _Handler:
+    """One connection: read one request from the accepted socket, call its
+    `do_<METHOD>` and send one HTTP/1.0 reply; the server then closes the
+    connection. `MiddlewareHTTPServer.finish_request`, which `socketserver`
+    provides, builds one per connection."""
+
+    def __init__(self, request: socket.socket, client_address, server: MiddlewareHTTPServer):
+        self.connection = request
+        self.client_address = client_address
+        self.server = server
+        self.requestline = ""
+        self.http09 = False  # a two-word GET line, whose reply is the body alone
+        self.rfile = request.makefile("rb")
+        try:
+            handler = self._read_request()
+            if handler is not None:
+                handler()
+        finally:
+            self.rfile.close()
+
+    def _read_request(self):
+        """The `do_` method for the request on the socket; None once a
+        refused request has had its reply, or when there is no request
+        line."""
+        rfile = self.rfile
+        line = rfile.readline(MAX_LINE_BYTES + 1)
+        if len(line) > MAX_LINE_BYTES:
+            return self._refuse(414)
+        self.requestline = text = str(line, "iso-8859-1").rstrip("\r\n")
+        words = text.split()
+        if not words:
+            return None
+        if len(words) >= 3:
+            version = words[-1]
+            match = _VERSION.fullmatch(version)
+            if match is None:
+                return self._refuse(400, f"Bad request version ({version!r})")
+            if int(match[1]) >= 2:
+                return self._refuse(505, f"Invalid HTTP version ({version[5:]})")
+        if not 2 <= len(words) <= 3:
+            return self._refuse(400, f"Bad request syntax ({text!r})")
+        command, path = words[:2]
+        if len(words) == 2:
+            if command != "GET":
+                return self._refuse(400, f"Bad HTTP/0.9 request type ({command!r})")
+            self.http09 = True
+        # a client reads "//x/y" as host x, so the target loses its extra slashes
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+
+        # every header line is read before a bad one is refused; only
+        # Content-Length is used, by its first value
+        bad = length = None
+        for count in range(MAX_HEADER_LINES + 1):
+            line = rfile.readline(MAX_LINE_BYTES + 1)
+            if len(line) > MAX_LINE_BYTES:
+                return self._refuse(431, "Line too long")
+            if count == MAX_HEADER_LINES:
+                return self._refuse(431, "Too many headers")
+            if line in (b"\r\n", b"\n", b""):
+                break
+            if bad is not None:
+                continue
+            name, colon, value = line.partition(b":")
+            if not colon or not _FIELD_NAME.fullmatch(name):
+                # no colon, a space before it, or a folded line (RFC 9112 section 5)
+                bad = f"Bad header line ({str(line, 'iso-8859-1').rstrip()!r})"
+            elif name.lower() == b"content-length":
+                value = str(value, "iso-8859-1").lstrip(" \t").rstrip("\r\n")
+                if length is None:
+                    length = value
+                elif value != length:  # RFC 9112 section 6.3
+                    bad = f"Conflicting Content-Length values ({length!r}, {value!r})"
+        if bad is not None:
+            return self._refuse(400, bad)
+        self.content_length = length
+        handler = getattr(self, "do_" + command, None)
+        if handler is None:
+            return self._refuse(501, f"Unsupported method ({command!r})")
+        return handler
+
+    def _refuse(self, status: int, message: Optional[str] = None) -> None:
+        """The reader's refusals, in JSON like every other reply, and with a
+        status line also for an HTTP/0.9 request."""
+        self.http09 = False
+        self._reply(status, {"error": message or HTTPStatus(status).phrase})
 
     def _reply(self, status: int, payload) -> None:
         """Send `payload`, a dict to encode or a body already encoded as a
-        list of byte chunks."""
+        list of byte chunks; the status line, headers and body leave in one
+        write."""
         body = payload if isinstance(payload, list) else [json.dumps(payload).encode()]
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(sum(map(len, body))))
-        # the status line, headers and body leave in one write; an HTTP/0.9
-        # request gets the body alone
+        logger.debug('http: %s "%s" %d', self.client_address[0], self.requestline, status)
         head = b""
-        if self.request_version != "HTTP/0.9":
-            head = b"".join(self._headers_buffer) + b"\r\n"
-            self._headers_buffer = []
+        if not self.http09:
+            head = (
+                f"HTTP/1.0 {status} {HTTPStatus(status).phrase}\r\nServer: trustgate\r\n"
+                f"Date: {_http_date()}\r\nContent-Type: application/json\r\n"
+                f"Content-Length: {sum(map(len, body))}\r\n\r\n"
+            ).encode("latin-1")
         _send_all(self.connection, [head, *body])
 
     def _body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        length = int(self.content_length or 0)
         if length < 0:
             # rfile.read(-1) would wait for the client to close the socket
             raise ValueError(f"negative Content-Length: {length}")

@@ -5,7 +5,10 @@ import json
 import os
 import re
 import socket
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +16,8 @@ from trustgate.cli import build_parser, main
 from trustgate.middleware import MiddlewareHTTPServer
 from trustgate.ontology import bootstrap_vocabulary
 from trustgate.store import RDF_NS, SYN_NS, Graph, iri, load_lines, serialize_lines
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 @pytest.fixture()
@@ -94,6 +99,16 @@ class TestQuery:
         main(["query", "--data", str(dataset), "--query", str(query)])
         assert capsys.readouterr().out.strip() == "deleted=1 inserted=1"
 
+    def test_query_that_does_not_parse_is_refused(self, dataset, tmp_path, capsys):
+        # it ended in a ParseError traceback and exit status 1
+        query = tmp_path / "q.rq"
+        query.write_text("ASK { ?x ?y }")
+        with pytest.raises(SystemExit) as exc:
+            main(["query", "--data", str(dataset), "--query", str(query)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "trustgate: error: " in err and "Traceback" not in err
+
 
 class TestValidate:
     def test_clean_dataset(self, dataset, capsys):
@@ -156,6 +171,37 @@ class TestServe:
     def test_propagate_interval_keeps_a_positive_value(self):
         args = build_parser().parse_args(["serve", "--data", "d", "--propagate-interval", "0.25"])
         assert args.propagate_interval == 0.25
+
+    def test_serve_loads_no_http_client_or_tls(self):
+        # a node with peers imports urllib.request when it first sends them scores
+        code = ("import sys, trustgate.cli; print(sorted({'ssl', 'http.client', 'http.server', "
+                "'email.parser', 'urllib.request'} & set(sys.modules)))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": SRC}).stdout
+        assert out == "[]\n"
+
+    @pytest.mark.parametrize("value", [
+        "127.0.0.1:http",  # ended in a ValueError traceback
+        "127.0.0.1:99999",  # ended in an OverflowError traceback
+        "127.0.0.1:-1", "127.0.0.1:", "127.0.0.1", "127.0.0.1:８０",
+    ])
+    def test_listen_must_be_a_host_and_a_port(self, dataset, monkeypatch, capsys, value):
+        served = []
+        monkeypatch.setattr(MiddlewareHTTPServer, "serve_forever", served.append)
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--data", str(dataset), "--listen", value])
+        assert exc.value.code == 2
+        assert "trustgate serve: error: argument --listen: must be HOST:PORT" in capsys.readouterr().err
+        assert served == []
+
+    @pytest.mark.parametrize("value, address", [
+        ("127.0.0.1:0", ("127.0.0.1", 0)),
+        ("0.0.0.0:65535", ("0.0.0.0", 65535)),
+        (":8080", ("127.0.0.1", 8080)),
+    ])
+    def test_listen_reads_a_host_and_a_port(self, value, address):
+        args = build_parser().parse_args(["serve", "--data", "d", "--listen", value])
+        assert args.listen == address
 
     @pytest.mark.parametrize("option, name, text, message", [
         ("--config", "node.conf", "treshold=0.5\n", "unknown config key: treshold"),

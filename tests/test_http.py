@@ -19,6 +19,8 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from trustgate import ontology as vocab
 from trustgate.middleware import (
     MAX_BODY_BYTES,
+    MAX_HEADER_LINES,
+    MAX_LINE_BYTES,
     ExchangeMiddleware,
     _Handler,
     _send_all,
@@ -734,6 +736,94 @@ class TestRawRequests:
                         or status == 501 and method not in ("GET", "POST")
                         or status == 505), (raw, reply)
         assert healthz_within(server, 1.0) == 200
+
+
+def _request(head: str, body: bytes = b"", end: str = "\r\n") -> bytes:
+    """A request whose head lines are joined by `end`, with a blank line after them."""
+    lines = head.split("\n")
+    return (end.join(lines) + end + end).encode("utf-8") + body
+
+
+_HEALTHY = {"status": "ok", "node": "node-http"}
+_NO_UPDATES = b'{"updates": []}'
+_PAD = "x" * MAX_LINE_BYTES
+
+
+class TestRequestReader:
+    """The request reader's bounds and edge cases, one raw request a row:
+    the status it gets and, for a 200, its JSON body. The rows marked RFC
+    9112 are answered 400 where the email parser behind http.server gave
+    200."""
+
+    @pytest.mark.parametrize("raw, status, body", [
+        pytest.param(_request("GET /healthz?" + _PAD[:MAX_LINE_BYTES - 24] + " HTTP/1.0"),
+                     200, _HEALTHY, id="longest-request-line"),
+        pytest.param(_request("GET /healthz?" + _PAD[:MAX_LINE_BYTES - 23] + " HTTP/1.0"),
+                     414, None, id="request-line-over-64KiB"),
+        pytest.param(_request("GET /healthz HTTP/1.0\nX-Pad: " + _PAD[:MAX_LINE_BYTES - 9]),
+                     200, _HEALTHY, id="longest-header-line"),
+        pytest.param(_request("GET /healthz HTTP/1.0\nX-Pad: " + _PAD[:MAX_LINE_BYTES - 8]),
+                     431, None, id="header-line-over-64KiB"),
+        pytest.param(_request("GET /healthz HTTP/1.0" + "\nX-N: 1" * (MAX_HEADER_LINES - 1)),
+                     200, _HEALTHY, id="99-header-lines"),
+        pytest.param(_request("GET /healthz HTTP/1.0" + "\nX-N: 1" * MAX_HEADER_LINES),
+                     431, None, id="100-header-lines"),
+        pytest.param(_request("POST /peers/scores HTTP/1.0\ncontent-length: 15", _NO_UPDATES),
+                     200, {"applied": 0}, id="lower-case-content-length"),
+        pytest.param(_request("POST /peers/scores HTTP/1.0\nContent-Length: 15", _NO_UPDATES,
+                              end="\n"),
+                     200, {"applied": 0}, id="bare-LF-line-endings"),
+        pytest.param(_request("GET /healthz HTTP/1.0\nX-Name: Zoë 東京"),
+                     200, _HEALTHY, id="non-ASCII-header-value"),
+        pytest.param(_request("POST /peers/scores HTTP/1.1\nHost: x\nExpect: 100-continue\n"
+                              "Content-Length: 15", _NO_UPDATES),
+                     200, {"applied": 0}, id="expect-100-continue"),
+        pytest.param(_request("POST /peers/scores HTTP/1.1\nHost: x\n"
+                              "Transfer-Encoding: chunked", b"f\r\n" + _NO_UPDATES + b"\r\n0\r\n\r\n"),
+                     400, None, id="chunked-body"),
+        pytest.param(_request("POST /peers/scores HTTP/1.0\nContent-Length: 15\n"
+                              "Content-Length: 15", _NO_UPDATES),
+                     200, {"applied": 0}, id="same-content-length-twice"),
+        pytest.param(_request("GET /healthz"), None, _HEALTHY, id="HTTP/0.9-GET"),
+        # RFC 9112 section 5.2: a folded line may be refused
+        pytest.param(_request("GET /healthz HTTP/1.0\nX-A: 1\n  2"),
+                     400, None, id="RFC-9112-folded-header-line"),
+        # the email parser dropped the line and every header after it
+        pytest.param(_request("GET /healthz HTTP/1.0\nNo colon here\nX-A: 1"),
+                     400, None, id="RFC-9112-header-line-without-colon"),
+        # RFC 9112 section 6.3: the framing is invalid; the first value was taken
+        pytest.param(_request("POST /peers/scores HTTP/1.0\nContent-Length: 15\n"
+                              "Content-Length: 2", _NO_UPDATES),
+                     400, None, id="RFC-9112-conflicting-content-lengths"),
+    ])
+    def test_request_gets_its_answer(self, server, raw, status, body):
+        reply = raw_reply(server, raw)
+        if status is None:
+            assert json.loads(reply) == body
+            return
+        head, _, payload = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.0 %d " % status), reply[:200]
+        if status == 200:
+            assert json.loads(payload) == body
+        else:
+            assert json.loads(payload)["error"]
+
+    def test_reply_head_carries_its_headers_in_order(self, server):
+        head = raw_reply(server, _request("GET /healthz HTTP/1.1\nHost: x")).split(b"\r\n\r\n")[0]
+        status_line, *headers = head.decode("latin-1").split("\r\n")
+        assert status_line == "HTTP/1.0 200 OK"
+        assert [h.split(": ", 1)[0] for h in headers] == [
+            "Server", "Date", "Content-Type", "Content-Length"]
+        # an IMF-fixdate, RFC 9110 section 5.6.7
+        assert re.fullmatch(r"Date: (Mon|Tue|Wed|Thu|Fri|Sat|Sun), \d\d "
+                            r"(Jan|Feb|Mar|Apr|May|Jun|Jul|Aug|Sep|Oct|Nov|Dec) \d{4} "
+                            r"\d\d:\d\d:\d\d GMT", headers[1])
+
+    def test_three_word_line_gets_a_status_line_whatever_its_version(self, server):
+        # only a two-word line is an HTTP/0.9 request; http.server sent the
+        # body alone to a three-word line ending in HTTP/0.9
+        reply = raw_reply(server, _request("GET /healthz HTTP/0.9"))
+        assert reply.startswith(b"HTTP/1.0 200 OK\r\n")
 
 
 class TestPropagationOverHttp:

@@ -12,8 +12,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "trustgate"
 
-# hooks that BaseHTTPRequestHandler calls by name, with the parameters it passes
-HANDLER_HOOKS = {"do_GET", "do_POST", "log_message", "send_error"}
+# hooks the HTTP request reader calls by name: "do_" and the request's method
+HANDLER_HOOKS = {"do_GET", "do_POST"}
 
 CONSTANT_NAME = re.compile(r"_?[A-Z][A-Z0-9_]*")
 
