@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import re
 import socket
 import socketserver
@@ -290,8 +291,10 @@ def _request_from_dict(data: dict) -> DataRequest:
         kwargs["request_id"] = data["requestId"]
     timestamp = data.get("timestamp")
     if timestamp is not None:
-        if not isinstance(timestamp, (int, float)) or isinstance(timestamp, bool):
-            raise RequestValidationError(f"timestamp must be a number, got {timestamp!r}")
+        if (not isinstance(timestamp, (int, float)) or isinstance(timestamp, bool)
+                or isinstance(timestamp, float) and not math.isfinite(timestamp)):
+            # NaN and the infinities would make the log line not JSON
+            raise RequestValidationError(f"timestamp must be a finite number, got {timestamp!r}")
         kwargs["timestamp"] = timestamp
     return DataRequest(
         user=user,
@@ -446,8 +449,6 @@ class ExchangeMiddleware:
                             "category": request.category,
                             "custodian": request.custodian,
                         })
-                for principal in (user.iri, org, request.custodian):
-                    registry.touch_projection(principal)
                 self._enqueue(registry.take_events())
                 timings[STAGE_TRUST_UPDATE] += clock() - t0
             decision = AccessDecision(
@@ -722,6 +723,7 @@ MAX_HEADER_LINES = 100
 _VERSION = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
 # a header field name: visible ASCII but the colon
 _FIELD_NAME = re.compile(rb"[!-9;-~]+")
+_DIGITS = re.compile(r"[ \t]*[0-9]+[ \t]*")
 _DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
 _MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
            "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
@@ -837,10 +839,10 @@ class _Handler:
         _send_all(self.connection, [head, *body])
 
     def _body(self) -> dict:
-        length = int(self.content_length or 0)
-        if length < 0:
-            # rfile.read(-1) would wait for the client to close the socket
-            raise ValueError(f"negative Content-Length: {length}")
+        value = "0" if self.content_length is None else self.content_length
+        if not _DIGITS.fullmatch(value):  # RFC 9110 section 8.6; int() also takes "+15", "1_5"
+            raise ValueError(f"Content-Length is not a number of bytes: {value!r}")
+        length = int(value)
         if length > MAX_BODY_BYTES:
             # reading a false length would hold this thread until the client left
             raise RequestTooLargeError(f"request body of {length} bytes exceeds {MAX_BODY_BYTES}")

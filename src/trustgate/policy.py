@@ -7,12 +7,15 @@ The custodian-side checks (category actually held, property groups complete)
 never deny a compliant request; they feed notices and credibility penalties.
 Each policy declares the penalty kind its failure carries; `trust` decides
 who pays it.
+
+A policy's query is parsed once, its placeholders held as parameters that
+each evaluation binds to the request's terms, so no request text ever
+enters a query.
 """
 
 from __future__ import annotations
 
 import json
-import re
 import time
 import uuid
 from dataclasses import dataclass, field
@@ -22,8 +25,8 @@ from typing import Iterable, Optional
 
 from . import ontology as vocab
 from .ontology import OntologyError, PrincipalRef
-from .query import QueryAst, compile_plan, eval_ask, parse
-from .store import Graph, Term, iri
+from .query import PLACEHOLDER_RE, QueryAst, QueryError, compile_plan, eval_ask, parse
+from .store import Graph, Term, Var, iri, plain
 from .trust import (
     DUA_VIOLATION,
     MISSING_CATEGORY,
@@ -62,10 +65,19 @@ class PolicyTemplate:
     failure_penalty: Optional[str]
 
     def placeholders(self) -> set[str]:
-        return set(_PLACEHOLDER_RE.findall(self.query_template))
+        return set(PLACEHOLDER_RE.findall(self.query_template))
 
 
-_PLACEHOLDER_RE = re.compile(r"\{([a-zA-Z]\w*)\}")
+# the placeholders a user-side policy may hold, each written the one way
+# `query.parse` takes it: a label as a whole string, the category (which
+# binds to a plain literal, as the texts tag it) and the purpose (an IRI) as
+# bare terms
+_PARAMETERS = {
+    "userLabel": "string",
+    "custodianLabel": "string",
+    "categoryIri": "term",
+    "purposeIri": "term",
+}
 
 _DUA_EXISTS_TEMPLATE = """ASK{
    ?dataCustodian a syn:Organization .
@@ -130,27 +142,14 @@ def register_builtin_policies() -> list[PolicyTemplate]:
     )]
 
 
-def _check_label(value: str, name: str) -> str:
+def _check_label(value: str, name: str) -> Term:
+    """The label as the plain literal its parameter binds to; an empty one,
+    or one with a quote, backslash or line break, is refused."""
     if not value:
         raise SubstitutionError(f"placeholder {name} must not be empty")
     if any(c in value for c in '"\\\n\r'):
         raise SubstitutionError(f"placeholder {name} contains forbidden characters")
-    return value
-
-
-def instantiate(template: PolicyTemplate, substitutions: dict[str, str]) -> str:
-    """Fill every placeholder; unfilled or unknown placeholders are errors."""
-    wanted = template.placeholders()
-    missing = wanted - set(substitutions)
-    if missing:
-        raise SubstitutionError(f"missing substitutions: {sorted(missing)}")
-    for name in wanted:
-        _check_label(substitutions[name], name)
-    text = _PLACEHOLDER_RE.sub(lambda m: substitutions[m.group(1)], template.query_template)
-    leftover = _PLACEHOLDER_RE.findall(text)
-    if leftover:
-        raise SubstitutionError(f"unresolved placeholders: {leftover}")
-    return text
+    return plain(value)
 
 
 @dataclass(frozen=True)
@@ -214,41 +213,6 @@ def completeness_probe(graph: Graph, category: Term,
     return True
 
 
-# entries past this many clear the whole table
-_TABLE_LIMIT = 8192
-
-
-class _Compiled:
-    """One instantiated query (or the completeness probe, with no AST): the
-    ground predicates it reads, the join plan made at its first evaluation,
-    and its last (fingerprint, outcome). Results never depend on the plan.
-
-    The last outcome is one tuple, so a racing reader never pairs one
-    fingerprint with another's outcome; fingerprints only grow, so keeping
-    only the last loses no hit.
-    """
-
-    __slots__ = ("ast", "deps", "plan", "last")
-
-    def __init__(self, ast: Optional[QueryAst], deps: Optional[tuple]):
-        self.ast = ast
-        self.deps = deps
-        self.plan: Optional[list] = None
-        self.last: Optional[tuple] = None
-
-
-def _dependencies(ast: QueryAst) -> Optional[tuple]:
-    """Ground predicates the query reads, or None if any pattern has a
-    variable predicate (then any mutation may affect it)."""
-    preds = []
-    for pattern in ast.bgp:
-        if not isinstance(pattern.predicate, Term):
-            return None
-        if pattern.predicate not in preds:
-            preds.append(pattern.predicate)
-    return tuple(preds)
-
-
 class PolicyEngine:
     """Evaluates the four built-in policies, and the extension policies
     given, for requests against one graph."""
@@ -266,99 +230,70 @@ class PolicyEngine:
         if len(self.templates) != len(templates):
             raise PolicyError("policy ids must be unique; a built-in policy cannot be replaced")
         self.completeness_sample = completeness_sample
-        # the recipient-side chain, extensions last, each policy with whether
-        # its query takes the request's category and its purpose
-        self._user_chain = []
-        for pid in (P_DUA_EXISTS, P_REQUESTED_DATA, P_PURPOSE_PERMITTED,
-                    *sorted(t.id for t in extensions)):
-            wanted = self.templates[pid].placeholders()
-            self._user_chain.append((pid, "categoryIri" in wanted, "purposeIri" in wanted))
-        # one entry per instantiated query, keyed by value: the template id
-        # plus the request fields its placeholders take
-        self._compiled: dict[tuple, _Compiled] = {}
+        # the recipient-side chain, extensions last
+        self._user_chain = (P_DUA_EXISTS, P_REQUESTED_DATA, P_PURPOSE_PERMITTED,
+                            *sorted(t.id for t in extensions))
+        # each policy's query, parsed once, with the ground predicates it
+        # reads (None when a predicate is a variable: then any write may
+        # change its outcome); its plan is made at its first evaluation
+        self._queries: dict[str, tuple[QueryAst, Optional[tuple]]] = {}
+        for t in templates:
+            ast = parse(t.query_template, {**_PARAMETERS, "categoryList": "list"}
+                        if t.id == P_CUSTODIAN_HAS_CATEGORY else _PARAMETERS)
+            reads = tuple(dict.fromkeys(pattern.predicate for pattern in ast.bgp))
+            self._queries[t.id] = (ast, None if any(isinstance(p, Var) for p in reads) else reads)
+        self._plans: dict[str, list] = {}
+        # (policy id, *bound terms) -> (fingerprint, outcome). Keys are bounded
+        # by the labels, categories, purposes and inventories requests bind.
+        # The value is one tuple, so a racing reader never pairs one
+        # fingerprint with another's outcome
+        self._outcomes: dict[tuple, tuple] = {}
 
     def _custodian_label(self, custodian_iri: str) -> str:
         for value in self.graph.objects_for(iri(custodian_iri), vocab.RDFS_LABEL):
             return value.lexical
         raise PolicyError(f"custodian has no label in the graph: {custodian_iri}")
 
-    def _outcome(self, key: tuple, compile, run) -> bool:
-        """`run(entry)` for the entry at `key`, which `compile()` builds on a
-        miss; reused while the predicates the entry reads are unchanged."""
-        entry = self._compiled.get(key)
-        if entry is None:
-            entry = compile()
-            if len(self._compiled) >= _TABLE_LIMIT:
-                self._compiled.clear()
-            self._compiled[key] = entry
-        deps = entry.deps
+    def _ask(self, policy_id: str, terms: dict) -> bool:
+        """Outcome of the policy with its parameters bound from `terms`,
+        reused while the predicates its query reads are unchanged."""
+        ast, reads = self._queries[policy_id]
+        key = (policy_id, *map(terms.__getitem__, ast.parameters))
         graph = self.graph
         fingerprint = (
-            graph.version if deps is None else tuple(graph.predicate_version(p) for p in deps)
+            graph.version if reads is None else tuple(map(graph.predicate_version, reads))
         )
-        last = entry.last
+        last = self._outcomes.get(key)
         if last is not None and last[0] == fingerprint:
             return last[1]
-        outcome = run(entry)
-        entry.last = (fingerprint, outcome)
+        plan = self._plans.get(policy_id)
+        if plan is None:
+            plan = self._plans[policy_id] = compile_plan(ast, graph, terms)
+        outcome = eval_ask(ast, graph, plan, terms)
+        self._outcomes[key] = (fingerprint, outcome)
         return outcome
-
-    def _ask(self, key: tuple, request: DataRequest, inventory: tuple = ()) -> bool:
-        """Outcome of the policy `key[0]` for the request; the query text is
-        instantiated and parsed only when `key` has no entry yet."""
-        def compile():
-            template = self.templates[key[0]]
-            wanted = template.placeholders()
-            substitutions = {
-                "userLabel": request.user.label,
-                "custodianLabel": self._custodian_label(request.custodian),
-            }
-            # every IRI is written as <iri>; a category is tagged as a plain
-            # literal, the way the policy texts write it
-            if "categoryIri" in wanted:
-                substitutions["categoryIri"] = f"<{request.category}>^^rdf:PlainLiteral"
-            if "purposeIri" in wanted:
-                substitutions["purposeIri"] = f"<{request.purpose}>"
-            if inventory:
-                substitutions["categoryList"] = ", ".join(f"STR(<{v}>)" for v in inventory)
-            ast = parse(instantiate(template, substitutions))
-            return _Compiled(ast, _dependencies(ast))
-
-        return self._outcome(key, compile, self._run_ask)
-
-    def _run_ask(self, entry: _Compiled) -> bool:
-        if entry.plan is None:
-            entry.plan = compile_plan(entry.ast, self.graph)
-        return eval_ask(entry.ast, self.graph, plan=entry.plan)
-
-    def custodian_inventory(self, custodian_iri: str) -> list[str]:
-        values = [
-            o.lexical for o in self.graph.objects_for(iri(custodian_iri), vocab.HAS_DATA_CATEGORY)
-        ]
-        values.sort()
-        return values
 
     def evaluate_user_policies(self, request: DataRequest) -> list[tuple[str, Optional[bool]]]:
         """Recipient-side checks in order, short-circuiting on first failure.
 
         Deployment-loaded user-side policies run after the built-in chain.
         """
+        custodian = self._custodian_label(request.custodian)
+        terms = {
+            "{userLabel}": _check_label(request.user.label, "userLabel"),
+            "{custodianLabel}": _check_label(custodian, "custodianLabel"),
+            "{categoryIri}": plain(request.category),
+            "{purposeIri}": iri(request.purpose),
+        }
         outcomes: list[tuple[str, Optional[bool]]] = []
         failed = False
-        for policy_id, by_category, by_purpose in self._user_chain:
+        for policy_id in self._user_chain:
             if failed:
                 outcomes.append((policy_id, None))
                 continue
-            key = (
-                policy_id,
-                request.user.label,
-                request.custodian,
-                request.category if by_category else None,
-                request.purpose if by_purpose else None,
-            )
-            passed = self._ask(key, request)
+            passed = self._ask(policy_id, terms)
             outcomes.append((policy_id, passed))
-            failed = failed or not passed
+            failed = not passed
         return outcomes
 
     def penalty_for(self, result: ComplianceResult) -> Optional[str]:
@@ -375,19 +310,18 @@ class PolicyEngine:
 
     def evaluate_custodian(self, request: DataRequest) -> tuple[bool, Optional[bool]]:
         """Custodian-side checks: category held, then property completeness."""
-        inventory = tuple(self.custodian_inventory(request.custodian))
+        inventory = frozenset(
+            self.graph.objects_for(iri(request.custodian), vocab.HAS_DATA_CATEGORY))
         if not inventory:
             return False, None
-        key = (P_CUSTODIAN_HAS_CATEGORY, request.user.label, request.custodian, inventory)
-        if not self._ask(key, request, inventory):
+        terms = {
+            "{userLabel}": plain(request.user.label),
+            "{custodianLabel}": plain(self._custodian_label(request.custodian)),
+            "{categoryList}": inventory,
+        }
+        if not self._ask(P_CUSTODIAN_HAS_CATEGORY, terms):
             return False, None
-        category = iri(request.category)
-        deps = (vocab.RDF_TYPE,) + vocab.CATEGORY_PROPERTY_GROUPS.get(category, ())
-        return True, self._outcome(
-            ("probe", request.category),
-            lambda: _Compiled(None, deps),
-            lambda _: completeness_probe(self.graph, category, self.completeness_sample),
-        )
+        return True, completeness_probe(self.graph, iri(request.category), self.completeness_sample)
 
     def evaluate(self, request: DataRequest, timings: Optional[dict] = None) -> ComplianceResult:
         """Full verdict: recipient policies, then custodian checks when the
@@ -415,14 +349,6 @@ class PolicyEngine:
             custodian_has_data=has_data,
             custodian_complete=complete,
         )
-
-
-_DUMMY_SUBSTITUTIONS = {
-    "userLabel": "user_000",
-    "custodianLabel": "DataCustodian",
-    "categoryIri": "syn:Patient^^rdf:PlainLiteral",
-    "purposeIri": "dua:PublicHealth",
-}
 
 
 _SCHEMA_NAMESPACES = (
@@ -454,8 +380,8 @@ def load_policy_dir(path) -> list[PolicyTemplate]:
     """Load extension policies from a directory: each a `<id>.rq` query
     template with a `<id>.json` sidecar, a JSON object. Extensions are
     recipient-side checks run beside the built-ins, never in their place.
-    Templates are smoke-instantiated at load so malformed or
-    undeclared-vocabulary ones fail here, not at request time.
+    Templates are parsed at load so malformed or undeclared-vocabulary ones,
+    and placeholders that are not whole terms, fail here, not at request time.
     """
     directory = Path(path)
     templates = []
@@ -483,12 +409,13 @@ def load_policy_dir(path) -> list[PolicyTemplate]:
         penalty = template.failure_penalty
         if penalty is not None and penalty not in USER_PENALTIES + ORG_PENALTIES:
             raise PolicyError(f"{template.id}: unknown failure penalty {penalty!r}")
-        unknown = template.placeholders() - set(_DUMMY_SUBSTITUTIONS)
+        unknown = template.placeholders() - set(_PARAMETERS)
         if unknown:
             raise PolicyError(f"{template.id}: unknown placeholders {sorted(unknown)}")
-        ast = parse(instantiate(template, {
-            name: _DUMMY_SUBSTITUTIONS[name] for name in template.placeholders()
-        }))
+        try:
+            ast = parse(template.query_template, _PARAMETERS)
+        except QueryError as exc:
+            raise PolicyError(f"{query_file.name}: {exc}") from None
         _check_vocabulary(template.id, ast)
         templates.append(template)
     return templates

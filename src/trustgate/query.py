@@ -33,6 +33,8 @@ ASK = "ask"
 SELECT = "select"
 UPDATE = "update"
 
+PLACEHOLDER_RE = re.compile(r"\{([a-zA-Z]\w*)\}")
+
 _UNSUPPORTED = {
     "OPTIONAL", "UNION", "GRAPH", "SERVICE", "MINUS", "BIND", "VALUES",
     "CONSTRUCT", "DESCRIBE", "LIMIT", "OFFSET", "ORDER", "GROUP", "HAVING",
@@ -75,6 +77,7 @@ _TOKEN_RE = re.compile(
   | (?P<VAR>\?[A-Za-z_][A-Za-z0-9_]*)
   | (?P<QNAME>[A-Za-z_][A-Za-z0-9_-]*:[A-Za-z_][A-Za-z0-9_-]*)
   | (?P<WORD>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<PARAM>\{[A-Za-z]\w*\})
   | (?P<DCARET>\^\^)
   | (?P<PUNCT>[{}().,=*;:])
     """,
@@ -140,18 +143,22 @@ class FilterExpr:
 
     `string_mode` is set when either side was written with STR(), in which
     case terms compare by their STR value (absolute IRI or lexical form).
+    A parameter (`Var`) on the right is read from the evaluation's binding.
     """
 
     operator: str                 # "in" or "equals"
     variable: str
-    rhs: list[Term]
+    rhs: list                     # terms and parameters, or one list parameter
     string_mode: bool = True
 
-    def matches(self, term: Term) -> bool:
-        if self.string_mode:
-            value = term.lexical
-            return any(value == t.lexical for t in self.rhs)
-        return any(term == t for t in self.rhs)
+    def matches(self, term: Term, binding: Optional[dict] = None) -> bool:
+        rhs = binding[self.rhs.name] if isinstance(self.rhs, Var) else self.rhs
+        for t in rhs:
+            if isinstance(t, Var):
+                t = binding[t.name]
+            if term.lexical == t.lexical if self.string_mode else term == t:
+                return True
+        return False
 
 
 @dataclass
@@ -162,6 +169,7 @@ class QueryAst:
     projection: Optional[list[str]] = None      # None = all bgp variables
     delete_template: list[TriplePattern] = field(default_factory=list)
     insert_template: list[TriplePattern] = field(default_factory=list)
+    parameters: list[str] = field(default_factory=list)  # a prepared query's, as Var names
 
     def bgp_variables(self) -> list[str]:
         seen: dict[str, None] = {}
@@ -192,10 +200,12 @@ class UpdateSummary:
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, params: Optional[dict[str, str]] = None):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.namespaces = dict(DEFAULT_NAMESPACES)
+        self.params = params
+        self.used: dict[str, None] = {}
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -257,6 +267,7 @@ class _Parser:
         if tok.kind != "EOF":
             raise self.error(f"trailing content after query: {tok.value!r}", tok)
         self.validate(ast)
+        ast.parameters = list(self.used)
         return ast
 
     def parse_prologue(self) -> None:
@@ -330,6 +341,11 @@ class _Parser:
         tok = self.next()
         if tok.kind == "VAR":
             return Var(tok.value[1:])
+        if tok.kind == "PARAM":
+            node = self.parameter(tok, tok.value, "term")
+            if self.peek().kind == "DCARET":
+                raise self.error(f"placeholder {tok.value} takes no datatype", self.peek())
+            return node
         if tok.kind == "WORD":
             if tok.value == "a" and predicate:
                 return RDF_TYPE
@@ -337,6 +353,8 @@ class _Parser:
                 raise UnsupportedFeatureError(tok.value.upper(), tok.line, tok.column)
             raise self.error(f"unexpected token {tok.value!r} in pattern", tok)
         if tok.kind in ("IRIREF", "QNAME"):
+            if self.params is not None and PLACEHOLDER_RE.search(tok.value):
+                raise self.error(f"a placeholder must be a whole term, not in {tok.value}", tok)
             value = self.resolve(tok)
             if self.peek().kind == "DCARET":
                 # the policy texts tag some IRIs with ^^rdf:PlainLiteral; that
@@ -349,6 +367,14 @@ class _Parser:
             return iri(value)
         if tok.kind == "STRING":
             lexical = _unescape_string(tok.value, tok.line, tok.column)
+            if self.params is not None and PLACEHOLDER_RE.search(lexical):
+                node = self.parameter(tok, lexical, "string")
+                if self.peek().kind == "DCARET":
+                    self.next()
+                    if self.parse_datatype() != RDF_PLAIN_LITERAL:
+                        raise self.error(f"placeholder {lexical} takes no datatype "
+                                         "but rdf:PlainLiteral", tok)
+                return node
             if self.peek().kind == "DCARET":
                 self.next()
                 dtype = self.parse_datatype()
@@ -357,6 +383,22 @@ class _Parser:
                 return typed(lexical, dtype)
             return plain(lexical)
         raise self.error(f"unexpected token {tok.value!r} in pattern", tok)
+
+    def parameter(self, tok: _Token, text: str, form: str) -> Var:
+        """The parameter `text` stands for, when it is one whole placeholder
+        written in the form its name takes."""
+        if self.params is None:
+            raise self.error(f"unexpected token {tok.value!r} in pattern", tok)
+        match = PLACEHOLDER_RE.fullmatch(text)
+        if match is None:
+            raise self.error(f"a placeholder must be a whole term, not in {tok.value}", tok)
+        wanted = self.params.get(match[1])
+        if wanted is None:
+            raise self.error(f"unknown placeholder {text}", tok)
+        if wanted != form:
+            raise self.error(f"placeholder {text} must be written as a {wanted}, not a {form}", tok)
+        self.used[text] = None
+        return Var(text)
 
     def parse_datatype(self) -> str:
         tok = self.next()
@@ -383,20 +425,25 @@ class _Parser:
         elif tok.kind == "WORD" and tok.value.upper() == "IN":
             operator = "in"
             self.expect_punct("(")
-            rhs_terms = []
-            rhs_str = False
-            while True:
-                term, wrapped = self.parse_ground_operand()
-                rhs_terms.append(term)
-                rhs_str = rhs_str or wrapped
-                tok = self.next()
-                if tok.kind == "PUNCT" and tok.value == ",":
-                    continue
-                if tok.kind == "PUNCT" and tok.value == ")":
-                    break
-                raise self.error(f"expected ',' or ')' in IN list, got {tok.value!r}", tok)
-            if not rhs_terms:
-                raise self.error("IN list must not be empty", tok)
+            tok = self.peek()
+            if tok.kind == "PARAM" and (self.params or {}).get(tok.value[1:-1]) == "list":
+                # one parameter is the whole list; its terms compare by STR value
+                rhs_terms = self.parameter(self.next(), tok.value, "list")
+                rhs_str = True
+                self.expect_punct(")")
+            else:
+                rhs_terms = []
+                rhs_str = False
+                while True:
+                    term, wrapped = self.parse_ground_operand()
+                    rhs_terms.append(term)
+                    rhs_str = rhs_str or wrapped
+                    tok = self.next()
+                    if tok.kind == "PUNCT" and tok.value == ",":
+                        continue
+                    if tok.kind == "PUNCT" and tok.value == ")":
+                        break
+                    raise self.error(f"expected ',' or ')' in IN list, got {tok.value!r}", tok)
         else:
             raise self.error(f"expected '=' or IN in FILTER, got {tok.value!r}", tok)
         self.expect_punct(")")
@@ -434,10 +481,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "VAR":
             raise self.error("FILTER comparison values must be ground terms", tok)
-        node = self.parse_node()
-        if isinstance(node, Var):
-            raise self.error("FILTER comparison values must be ground terms", tok)
-        return node
+        return self.parse_node()
 
     def validate(self, ast: QueryAst) -> None:
         bgp_vars = set(ast.bgp_variables())
@@ -464,13 +508,21 @@ class _Parser:
                             )
 
 
-def parse(text: str) -> QueryAst:
+def parse(text: str, params: Optional[dict[str, str]] = None) -> QueryAst:
     """Parse a query string into a QueryAst.
+
+    `params` prepares the query: it maps each placeholder name the text may
+    hold to the one form it is written in, and each becomes the `Var`
+    "{name}" that an evaluation's binding gives a value. The forms: "string"
+    is "{name}", a whole string whose only datatype may be rdf:PlainLiteral;
+    "term" is {name} in place of a term; "list" is {name} as a FILTER's
+    whole IN list, bound to a collection of terms. Without `params`, a
+    placeholder is not a term.
 
     Raises ParseError with line/column, or UnsupportedFeatureError naming any
     construct outside the supported subset.
     """
-    return _Parser(text).parse()
+    return _Parser(text, params).parse()
 
 
 # -- evaluator ---------------------------------------------------------------
@@ -478,20 +530,25 @@ def parse(text: str) -> QueryAst:
 _BIG = 1 << 30
 
 
-def order_patterns(patterns: list[TriplePattern], graph: Graph) -> list[TriplePattern]:
+def order_patterns(patterns: list[TriplePattern], graph: Graph,
+                   binding: Optional[dict] = None) -> list[TriplePattern]:
     """Greedy most-selective-first join order.
 
     Patterns whose remaining free variables are fewest go first; among those,
     prefer the smallest index-estimated candidate set. Positions holding
-    already-bound variables count as ground but have no static estimate.
+    already-bound variables count as ground but have no static estimate;
+    a variable `binding` gives counts as the term it is bound to.
     Reordering never changes results, only runtime, so a caller that
     re-evaluates one query against a slowly-changing graph may compile its
     plan once and pass that to `eval_ask`.
     """
+    given = binding or {}
     entries = []
     for idx, pattern in enumerate(patterns):
-        lookup = tuple(node if isinstance(node, Term) else None for node in pattern)
-        entries.append((idx, pattern, lookup, pattern.variables()))
+        lookup = tuple(given.get(node.name) if isinstance(node, Var) else node
+                       for node in pattern)
+        names = tuple(name for name in pattern.variables() if name not in given)
+        entries.append((idx, pattern, lookup, names))
     bound: set[str] = set()
     order: list[TriplePattern] = []
     remaining = list(entries)
@@ -532,11 +589,11 @@ class _Step:
         self.filters: list[FilterExpr] = []
 
 
-def compile_plan(ast: QueryAst, graph: Graph) -> list[_Step]:
+def compile_plan(ast: QueryAst, graph: Graph, binding: Optional[dict] = None) -> list[_Step]:
     """Compile the reordered patterns into evaluation steps with filters
     attached at the earliest step that binds their variable. Plans stay valid
-    across graph mutations; only their efficiency can go stale."""
-    steps = [_Step(pattern) for pattern in order_patterns(ast.bgp, graph)]
+    across graph mutations and bindings; only their efficiency can go stale."""
+    steps = [_Step(pattern) for pattern in order_patterns(ast.bgp, graph, binding)]
     bound: set[str] = set()
     pending = list(ast.filters)
     for step in steps:
@@ -551,15 +608,17 @@ def compile_plan(ast: QueryAst, graph: Graph) -> list[_Step]:
     return steps
 
 
-def _solutions(ast: QueryAst, graph: Graph, plan: Optional[list[_Step]] = None) -> Iterator[dict]:
-    """Nested-loop join over the compiled steps.
+def _solutions(ast: QueryAst, graph: Graph, plan: Optional[list[_Step]] = None,
+               initial: Optional[dict] = None) -> Iterator[dict]:
+    """Nested-loop join over the compiled steps, from the `initial` binding
+    (a query's parameters) on.
 
     The yielded binding dict is mutated in place as the search backtracks;
     consumers must copy out whatever they need before advancing.
     """
-    steps = plan if plan is not None else compile_plan(ast, graph)
+    steps = plan if plan is not None else compile_plan(ast, graph, initial)
     last = len(steps)
-    binding: dict[str, Term] = {}
+    binding: dict = dict(initial or ())
     get = binding.get
 
     def rec(i: int) -> Iterator[dict]:
@@ -594,7 +653,7 @@ def _solutions(ast: QueryAst, graph: Graph, plan: Optional[list[_Step]] = None) 
                     break
             if ok:
                 for f in step.filters:
-                    if not f.matches(binding[f.variable]):
+                    if not f.matches(binding[f.variable], binding):
                         ok = False
                         break
                 if ok:
@@ -609,11 +668,13 @@ def _solutions(ast: QueryAst, graph: Graph, plan: Optional[list[_Step]] = None) 
     return rec(0)
 
 
-def eval_ask(ast: QueryAst, graph: Graph, plan: Optional[list[_Step]] = None) -> bool:
-    """True iff at least one solution satisfies all patterns and filters."""
+def eval_ask(ast: QueryAst, graph: Graph, plan: Optional[list[_Step]] = None,
+             binding: Optional[dict] = None) -> bool:
+    """True iff at least one solution, with the parameters `binding` gives,
+    satisfies all patterns and filters."""
     if ast.form != ASK:
         raise EvalError(f"eval_ask needs an ASK query, got {ast.form}")
-    for _ in _solutions(ast, graph, plan):
+    for _ in _solutions(ast, graph, plan, binding):
         return True
     return False
 

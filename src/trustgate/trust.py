@@ -467,9 +467,10 @@ class TrustRegistry:
         self._refresh_projection(record)
 
     def touch_projection(self, principal_iri: str) -> None:
-        """Make the principal's projected score triples match its record:
-        the per-transaction score write of the exchange cycle. Writes nothing
-        when they already match, and repairs drift from direct graph updates."""
+        """Make the principal's projected score triples match its record,
+        repairing drift from direct graph updates; writes nothing when they
+        already match. Every commit refreshes them already, so the exchange
+        cycle does not call this."""
         self._refresh_projection(self.get(principal_iri))
 
     def _refresh_projection(self, record: TrustRecord) -> None:

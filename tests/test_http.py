@@ -265,6 +265,10 @@ class TestEndpoints:
         {"requestId": []},
         {"requestId": {}},
         {"timestamp": "noon"},
+        # sent as the NaN and Infinity that json reads, and that no log line may hold
+        {"timestamp": float("nan")},
+        {"timestamp": float("inf")},
+        {"timestamp": float("-inf")},
     ])
     def test_wrongly_typed_request_field_is_bad_request(self, server, demo_manifest, bad):
         status, body = http("POST", server.url + "/requests", {
@@ -795,6 +799,14 @@ class TestRequestReader:
         pytest.param(_request("POST /peers/scores HTTP/1.0\nContent-Length: 15\n"
                               "Content-Length: 2", _NO_UPDATES),
                      400, None, id="RFC-9112-conflicting-content-lengths"),
+        pytest.param(_request("POST /peers/scores HTTP/1.0\nContent-Length: \t15 \t",
+                              _NO_UPDATES),
+                     200, {"applied": 0}, id="content-length-in-whitespace"),
+        # RFC 9110 section 8.6: Content-Length is digits; int() also reads these
+        pytest.param(_request("POST /peers/scores HTTP/1.0\nContent-Length: +15", _NO_UPDATES),
+                     400, None, id="RFC-9110-signed-content-length"),
+        pytest.param(_request("POST /peers/scores HTTP/1.0\nContent-Length: 1_5", _NO_UPDATES),
+                     400, None, id="RFC-9110-underscored-content-length"),
     ])
     def test_request_gets_its_answer(self, server, raw, status, body):
         reply = raw_reply(server, raw)

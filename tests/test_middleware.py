@@ -515,18 +515,6 @@ class TestScoreProjection:
         assert response.decision.granted is True
         assert service.graph.version == version
 
-    def test_request_repairs_hand_edited_score_triples(self, service, demo_manifest):
-        graph = service.graph
-        principal = iri(user(demo_manifest, 0))
-        org = iri(demo_manifest.users[0].org_iri)
-        (behavior,) = graph.objects_for(principal, vocab.BEHAVIOR_TRUST)
-        assert graph.remove(Triple(principal, vocab.BEHAVIOR_TRUST, behavior))
-        (identity,) = graph.objects_for(org, vocab.IDENTITY_TRUST)
-        graph.insert(Triple(org, vocab.IDENTITY_TRUST, typed("0.5", XSD_FLOAT)))
-        service.handle_request(service.build_request(user(demo_manifest, 0), PATIENT, PUBLIC_HEALTH))
-        assert list(graph.objects_for(principal, vocab.BEHAVIOR_TRUST)) == [behavior]
-        assert list(graph.objects_for(org, vocab.IDENTITY_TRUST)) == [identity]
-
 
 class TestTransactionLog:
     def test_log_carries_request_and_timings(self, demo_graph, demo_manifest, tmp_path):

@@ -3,10 +3,13 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trustgate import ontology as vocab
 from trustgate import policy as policy_module
-from trustgate.ontology import DuaRecord, OntologyError, write_dua
+from trustgate.ontology import (
+    DuaRecord, OntologyError, PrincipalRef, bootstrap_vocabulary, write_dua,
+)
 from trustgate.policy import (
     P_CUSTODIAN_HAS_CATEGORY,
     P_DUA_EXISTS,
@@ -19,12 +22,12 @@ from trustgate.policy import (
     PolicyTemplate,
     SubstitutionError,
     completeness_probe,
-    instantiate,
     load_policy_dir,
     register_builtin_policies,
 )
-from trustgate.query import parse
-from trustgate.store import SYN_NS, Graph, Triple, iri
+from trustgate.query import PLACEHOLDER_RE, ParseError, eval_ask, parse
+from trustgate.store import SYN_NS, Graph, Triple, Var, iri, plain
+from trustgate.synth import GeneratorSpec, demographics_manifest, generate_dataset
 from trustgate.trust import (
     DUA_VIOLATION,
     MISSING_CATEGORY,
@@ -57,6 +60,22 @@ def normalized(text):
     return " ".join(text.split())
 
 
+def instantiate(template, substitutions):
+    """The template's text with every placeholder filled in: the reference
+    the engine's prepared queries are checked against."""
+    wanted = template.placeholders()
+    missing = wanted - set(substitutions)
+    if missing:
+        raise SubstitutionError(f"missing substitutions: {sorted(missing)}")
+    return PLACEHOLDER_RE.sub(lambda m: substitutions[m.group(1)], template.query_template)
+
+
+def bound(patterns, binding):
+    """The patterns with each parameter replaced by its bound term."""
+    return [tuple(binding.get(n.name, n) if isinstance(n, Var) else n for n in p)
+            for p in patterns]
+
+
 def request_for(manifest, user_index, category, purpose):
     user = manifest.users[user_index]
     return DataRequest(
@@ -78,6 +97,9 @@ class TestTemplates:
             P_PURPOSE_PERMITTED,
         ]
         assert all(instantiate(t, {n: "x_1" for n in t.placeholders()}) for t in templates)
+        # each is parsed once, when an engine is made
+        queries = PolicyEngine(Graph())._queries
+        assert [queries[t.id][0].form for t in templates] == ["ask"] * 4
 
     def test_p1_reproduces_dua_existence_policy(self):
         template = register_builtin_policies()[0]
@@ -86,6 +108,12 @@ class TestTemplates:
         )
         assert normalized(text) == normalized(DUA_EXISTENCE_POLICY)
         assert parse(text).bgp == parse(DUA_EXISTENCE_POLICY).bgp
+        # the prepared query, with the request's labels bound, is the same query
+        prepared, _ = PolicyEngine(Graph())._queries[P_DUA_EXISTS]
+        assert prepared.parameters == ["{custodianLabel}", "{userLabel}"]
+        binding = {"{userLabel}": plain("physician_105"),
+                   "{custodianLabel}": plain("DataCustodian")}
+        assert bound(prepared.bgp, binding) == bound(parse(DUA_EXISTENCE_POLICY).bgp, {})
 
     def test_p3_filter_arity_matches_inventory(self):
         template = register_builtin_policies()[2]
@@ -99,16 +127,34 @@ class TestTemplates:
         )
         ast = parse(text)
         assert len(ast.filters[0].rhs) == 3
+        # prepared, the whole IN list is one parameter the inventory binds
+        prepared, _ = PolicyEngine(Graph())._queries[P_CUSTODIAN_HAS_CATEGORY]
+        assert prepared.filters[0].rhs == Var("{categoryList}")
 
-    def test_empty_label_is_substitution_error(self):
-        template = register_builtin_policies()[0]
-        with pytest.raises(SubstitutionError):
-            instantiate(template, {"userLabel": "", "custodianLabel": "DataCustodian"})
+    def test_empty_label_is_substitution_error(self, demo_graph, demo_manifest):
+        request = request_for(demo_manifest, 0, PATIENT, PUBLIC_HEALTH)
+        unlabeled = DataRequest(user=PrincipalRef(iri=request.user.iri, kind=vocab.USER),
+                                custodian=request.custodian, category=PATIENT,
+                                purpose=PUBLIC_HEALTH)
+        with pytest.raises(SubstitutionError, match="userLabel must not be empty"):
+            PolicyEngine(demo_graph).evaluate(unlabeled)
 
-    def test_missing_placeholder_is_error(self):
-        template = register_builtin_policies()[1]
-        with pytest.raises(SubstitutionError):
-            instantiate(template, {"userLabel": "x", "custodianLabel": "y"})
+    def test_missing_placeholder_is_error(self, demo_graph):
+        # a placeholder no request field fills is refused when the engine is made
+        extension = PolicyTemplate(
+            id="by-patient", failure_penalty=None,
+            query_template='ASK{ ?user rdfs:label "{userLabel}" . ?user ?p {patientIri} . }',
+        )
+        with pytest.raises(ParseError, match="unknown placeholder {patientIri}"):
+            PolicyEngine(demo_graph, extensions=[extension])
+
+    @pytest.mark.parametrize("label", ['nurse"_1', "nurse\\_1", "nurse\n1"])
+    def test_label_with_a_forbidden_character_is_refused(self, demo_graph, demo_manifest, label):
+        request = request_for(demo_manifest, 0, PATIENT, PUBLIC_HEALTH)
+        user = PrincipalRef(iri=request.user.iri, kind=vocab.USER, label=label)
+        with pytest.raises(SubstitutionError, match="forbidden characters"):
+            PolicyEngine(demo_graph).evaluate(DataRequest(
+                user=user, custodian=request.custodian, category=PATIENT, purpose=PUBLIC_HEALTH))
 
 
 class TestEvaluate:
@@ -198,15 +244,15 @@ class TestEvaluate:
                 assert after.outcome(pid) is True
 
     def test_verdict_survives_ast_cache_turnover(self, demo_graph, demo_manifest, monkeypatch):
-        # once the compiled-query table is cleared, CPython may place a new
-        # AST at a freed one's address; model that deterministically by
-        # giving every object one id, so any cache keyed on id() serves a
-        # stale verdict
+        # once the outcome table is cleared, CPython may place a new object
+        # at a freed one's address; model that deterministically by giving
+        # every object one id, so any cache keyed on id() serves a stale
+        # verdict
         monkeypatch.setattr(policy_module, "id", lambda obj: 0, raising=False)
         engine = PolicyEngine(demo_graph)
         granted = engine.evaluate(request_for(demo_manifest, 0, PATIENT, PUBLIC_HEALTH))
         assert granted.outcome(P_DUA_EXISTS) is True
-        engine._compiled.clear()
+        engine._outcomes.clear()
         # user index 7 belongs to the eighth organization, which has no agreement
         denied = engine.evaluate(request_for(demo_manifest, 7, PATIENT, PUBLIC_HEALTH))
         assert denied.outcome(P_DUA_EXISTS) is False
@@ -239,28 +285,31 @@ class TestEvaluate:
         demo_graph.insert(held)
         assert engine.evaluate(request).outcome(P_CUSTODIAN_HAS_CATEGORY) is True
 
-    def test_compiled_table_is_bounded(self, demo_graph, demo_manifest, monkeypatch):
-        monkeypatch.setattr(policy_module, "_TABLE_LIMIT", 5)
+    def test_outcome_table_holds_one_entry_per_policy_and_bound_terms(self, demo_graph,
+                                                                       demo_manifest):
         engine = PolicyEngine(demo_graph)
         for index in range(10):
             engine.evaluate(request_for(demo_manifest, index, PATIENT, PUBLIC_HEALTH))
-            assert len(engine._compiled) <= 5
-        engine._compiled.clear()
-        engine.evaluate(request_for(demo_manifest, 0, PATIENT, PUBLIC_HEALTH))
-        # the completeness probe shares the one table
-        assert ("probe", PATIENT) in engine._compiled
-        denied = engine.evaluate(request_for(demo_manifest, 7, PATIENT, PUBLIC_HEALTH))
-        assert denied.outcome(P_DUA_EXISTS) is False
+        # one plan per policy evaluated, whichever request made it
+        assert set(engine._plans) <= set(engine.templates)
+        # a key is the policy id and the terms its query binds, in the order
+        # the text first uses them
+        custodian = plain(demo_manifest.custodian_label)
+        user = plain(demo_manifest.users[0].label)
+        assert (P_DUA_EXISTS, custodian, user) in engine._outcomes
+        assert (P_REQUESTED_DATA, custodian, user, plain(PATIENT)) in engine._outcomes
+        # the completeness probe keeps no entry
+        assert all(key[0] in engine.templates for key in engine._outcomes)
 
-    def test_shared_engine_under_thread_churn(self, demo_graph, demo_manifest, monkeypatch):
-        # readers share one table that keeps clearing; every verdict must
-        # still be the one a fresh engine gives
-        monkeypatch.setattr(policy_module, "_TABLE_LIMIT", 3)
+    def test_shared_engine_under_thread_churn(self, demo_graph, demo_manifest):
+        # readers share one outcome table that another thread keeps
+        # clearing; every verdict must still be the one a fresh engine gives
         requests = [request_for(demo_manifest, i, PATIENT, PUBLIC_HEALTH) for i in range(10)]
         reference = PolicyEngine(demo_graph)
         expected = [reference.evaluate(request) for request in requests]
         engine = PolicyEngine(demo_graph)
         errors = []
+        done = threading.Event()
 
         def worker(offset):
             try:
@@ -270,15 +319,24 @@ class TestEvaluate:
             except AssertionError as exc:  # pragma: no cover
                 errors.append(exc)
 
+        def clearer():
+            while not done.is_set():
+                engine._outcomes.clear()
+                engine._plans.clear()
+
         threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        churn = threading.Thread(target=clearer)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
+            churn.start()
             for thread in threads:
                 thread.start()
             for thread in threads:
                 thread.join(timeout=60)
         finally:
+            done.set()
+            churn.join(timeout=60)
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
@@ -463,3 +521,131 @@ class TestExtensionPolicies:
         )
         failing = engine.evaluate(request_for(demo_manifest, 1, PATIENT, PUBLIC_HEALTH))
         assert engine.penalty_for(failing) == NO_DUA_REQUEST
+
+
+class TestPlaceholders:
+    @pytest.mark.parametrize("query", [
+        'ASK{ ?user rdfs:label "user {userLabel}" . }',
+        'ASK{ ?user rdfs:label "{userLabel}{custodianLabel}" . }',
+        'ASK{ <http://example.org/{userLabel}> a tst:User . }',
+        'ASK{ ?user rdfs:label "{userLabel}"^^xsd:string . }',
+        'ASK{ ?user rdfs:label {userLabel} . }',
+        'ASK{ ?dua dua:requestedData "{categoryIri}" . }',
+        'ASK{ ?dua dua:requestedData {categoryIri}^^rdf:PlainLiteral . }',
+        'ASK{ ?dua dua:requestedData ?c . FILTER(STR(?c) = STR("x{categoryIri}")) }',
+    ])
+    def test_placeholder_that_is_not_a_whole_term_is_refused_at_load(self, tmp_path, query):
+        TestPolicyDir.write_policy(tmp_path, "partial", {"id": "partial"}, query=query)
+        # the refusal names the file it is about
+        with pytest.raises(PolicyError, match="^partial.rq: line 1, column .*placeholder"):
+            load_policy_dir(tmp_path)
+
+    def test_whole_term_placeholders_load(self, tmp_path):
+        TestPolicyDir.write_policy(
+            tmp_path, "whole", {"id": "whole"},
+            query='ASK{ ?user rdfs:label "{userLabel}" . ?dua dua:requestedData {categoryIri} .'
+                  ' ?dua dua:hasPermittedUseOrDisclosure ?use . FILTER(?use IN ({purposeIri})) }',
+        )
+        assert [t.id for t in load_policy_dir(tmp_path)] == ["whole"]
+
+    def test_query_without_parameters_takes_no_placeholder(self):
+        with pytest.raises(ParseError):
+            parse("ASK{ ?dua dua:requestedData {categoryIri} . }")
+        # inside a string it is only text
+        (pattern,) = parse('ASK{ ?user rdfs:label "{userLabel}" . }').bgp
+        assert pattern.object == plain("{userLabel}")
+
+
+# the property below runs its operations on this fixture's graph
+_SPEC = GeneratorSpec(seed=11, patient_count=24)
+_MANIFEST = demographics_manifest(_SPEC)
+_CATEGORIES = [c.lexical for c in vocab.DATA_CATEGORIES]
+_PURPOSES = [p.lexical for p in vocab.PERMITTED_USE_INDIVIDUALS]
+
+# an extension whose outcome follows the custodian's inventory, with its
+# parameters in a FILTER and a label written without a datatype
+_HELD_CATEGORY = PolicyTemplate(
+    id="held-category", failure_penalty=None, query_template="""ASK{
+   ?custodian rdfs:label "{custodianLabel}" .
+   ?custodian syn:hasDataCategory ?held .
+   ?user rdfs:label "{userLabel}"^^rdf:PlainLiteral .
+   FILTER(STR(?held) = STR({categoryIri}))
+}""")
+
+_USERS = st.one_of(
+    st.sampled_from(_MANIFEST.users).map(lambda u: u.ref()),
+    st.text("abcdefghijklmnopqrstuvwxyz_0123456789 ", min_size=1, max_size=12).map(
+        lambda label: PrincipalRef(iri=SYN_NS + "user_unknown", kind=vocab.USER, label=label)),
+)
+_OPERATIONS = st.lists(st.one_of(
+    st.tuples(st.just("request"), _USERS, st.sampled_from(_CATEGORIES),
+              st.sampled_from(_PURPOSES)),
+    st.tuples(st.just("agreement"), st.integers(0, 2), st.sampled_from(_MANIFEST.orgs),
+              st.frozensets(st.sampled_from(_CATEGORIES), min_size=1),
+              st.frozensets(st.sampled_from(_PURPOSES), min_size=1)),
+    st.tuples(st.just("inventory"), st.sampled_from(_CATEGORIES), st.booleans()),
+), min_size=1, max_size=25)
+
+
+def reference_verdict(engine, request):
+    """Per-policy outcomes and whether the custodian holds the data, each
+    policy run from its instantiated text as the engine ran before it
+    prepared its queries."""
+    graph = engine.graph
+    custodian = iri(request.custodian)
+    (label,) = graph.objects_for(custodian, vocab.RDFS_LABEL)
+    substitutions = {
+        "userLabel": request.user.label,
+        "custodianLabel": label.lexical,
+        "categoryIri": f"<{request.category}>^^rdf:PlainLiteral",
+        "purposeIri": f"<{request.purpose}>",
+    }
+
+    def ask(policy_id, **extra):
+        text = instantiate(engine.templates[policy_id], {**substitutions, **extra})
+        return eval_ask(parse(text), graph)
+
+    outcomes = {}
+    failed = False
+    for policy_id in (P_DUA_EXISTS, P_REQUESTED_DATA, P_PURPOSE_PERMITTED, _HELD_CATEGORY.id):
+        outcomes[policy_id] = None if failed else ask(policy_id)
+        failed = failed or not outcomes[policy_id]
+    held = None
+    if not failed:
+        inventory = sorted(o.lexical for o in graph.objects_for(custodian, vocab.HAS_DATA_CATEGORY))
+        held = bool(inventory) and ask(P_CUSTODIAN_HAS_CATEGORY, categoryList=", ".join(
+            f"STR(<{value}>)" for value in inventory))
+    outcomes[P_CUSTODIAN_HAS_CATEGORY] = held
+    return outcomes
+
+
+class TestPreparedMatchesInstantiated:
+    @settings(max_examples=150, deadline=None)
+    @given(operations=_OPERATIONS)
+    def test_prepared_outcome_equals_the_instantiated_texts(self, operations):
+        graph = Graph()
+        bootstrap_vocabulary(graph)
+        generate_dataset(_SPEC, into=graph)
+        engine = PolicyEngine(graph, [_HELD_CATEGORY])
+        custodian = _MANIFEST.custodian_iri
+        for operation in operations:
+            kind = operation[0]
+            if kind == "request":
+                _, user, category, purpose = operation
+                request = DataRequest(user=user, custodian=custodian, category=category,
+                                      purpose=purpose)
+                result = engine.evaluate(request)
+                assert dict(result.per_policy) == reference_verdict(engine, request)
+                assert result.custodian_has_data == result.outcome(P_CUSTODIAN_HAS_CATEGORY)
+            elif kind == "agreement":
+                # slot 0 rewrites the organization's own agreement, if it has one
+                _, slot, org, requested, permitted = operation
+                write_dua(graph, DuaRecord(
+                    iri=(slot == 0 and org.dua_iri) or f"{SYN_NS}dua_drawn_{slot}",
+                    custodian=custodian, recipient=org.iri,
+                    requested_data=requested, permitted_use=permitted,
+                ))
+            else:
+                _, category, held = operation
+                triple = Triple(iri(custodian), vocab.HAS_DATA_CATEGORY, iri(category))
+                graph.insert(triple) if held else graph.remove(triple)
