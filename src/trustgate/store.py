@@ -9,7 +9,7 @@ is a couple of dict hops. Patterns with an unbound predicate scan SPO:
 query binds the object without the predicate. An index leaf with one
 member is that bare term; it becomes an insertion-ordered dict when a
 second member arrives and a bare term again when it is down to one, so
-both forms iterate in insertion order and capped, unsorted iteration is
+every form iterates in insertion order and capped, unsorted iteration is
 deterministic for a given build sequence. A predicate-object dict leaf maps
 each member subject to its JSON row as bytes, or to None until
 `Graph.subject_rows` first reads it.
@@ -20,6 +20,7 @@ from __future__ import annotations
 import io
 import re
 from collections import namedtuple
+from functools import reduce
 from decimal import Decimal, InvalidOperation
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
@@ -193,17 +194,32 @@ class TriplePattern(namedtuple("TriplePattern", "subject predicate object")):
         return f"({self.subject!r} {self.predicate!r} {self.object!r})"
 
 
+class _Shape:
+    """A predicate order shared by subjects held as tuples: `at[p]` is p's
+    place in such a subject's tuple, whose item 0 is the shape, and
+    `step[p]` caches the shape with p taken out if it is here, else added."""
+
+    __slots__ = ("at", "step")
+
+    def __init__(self, predicates: tuple[Term, ...]):
+        self.at = {p: i for i, p in enumerate(predicates, 1)}
+        self.step: dict[Term, _Shape] = {}
+
+
 class Graph:
     """Set of triples with SPO and POS indexes.
 
     The two indexes are the only storage: no `Triple` object is kept, and
-    iteration builds them from the SPO index. `_spo[s][p]` holds the objects
-    and `_pos[p][o]` the subjects: a bare `Term` while there is one, a dict
-    (members as keys) from two on, since almost every subject has one value
-    per predicate and a one-entry dict costs about 220 bytes. Passive with
-    respect to locking: callers serialize access, as `ExchangeMiddleware`
-    does by reading and writing only inside its one lock's sections, which
-    run one at a time.
+    iteration builds them from the SPO index. `_spo[s]` is the tuple
+    `(shape, o1, o2, ...)` while each of the subject's predicates has one
+    object, as nearly every subject's does, and the dict `{p: objects}`
+    while one has more; `_pos[p][o]` holds the subjects. A leaf of objects
+    or subjects is a bare `Term` while there is one, a dict (members as
+    keys) from two on: a dict costs about 220 bytes with one entry and 266
+    as a subject's. `_shapes` has one `_Shape` per predicate order held.
+    Passive with respect to locking: callers serialize access, as
+    `ExchangeMiddleware` does by reading and writing only inside its one
+    lock's sections, which run one at a time.
 
     `_unsorted` holds the `(p, o)` key of every POS dict leaf whose subjects
     may be out of lexical order; a dict leaf whose key is absent iterates in
@@ -220,9 +236,11 @@ class Graph:
 
     def __init__(self):
         self._size = 0
-        self._spo: dict[Term, dict[Term, Term | dict[Term, None]]] = {}
+        self._spo: dict[Term, tuple | dict[Term, Term | dict[Term, None]]] = {}
         self._pos: dict[Term, dict[Term, Term | dict[Term, Optional[bytes]]]] = {}
         self._unsorted: set[tuple[Term, Term]] = set()
+        self._no_predicates = _Shape(())
+        self._shapes: dict[tuple[Term, ...], _Shape] = {(): self._no_predicates}
         self.version = 0
         self._pred_versions: dict[Term, int] = {}
 
@@ -244,11 +262,31 @@ class Graph:
         """Add a triple; returns False if it was already present."""
         if not isinstance(t, Triple):
             raise TermError(f"expected a Triple, got {t!r}")
-        return self._add(t.subject, t.predicate, t.object)
+        added = self._add(t.subject, t.predicate, t.object)
+        if added:
+            self._changed((t.predicate,), 1)
+        return added
 
     def _add(self, s: Term, p: Term, o: Term) -> bool:
-        """`insert` for terms a `Triple` would accept: IRIs `s` and `p`."""
-        if not _link(self._spo, s, p, o):
+        """Link a triple into both indexes, for terms a `Triple` would
+        accept (IRIs `s` and `p`); False if it was there. Its caller counts
+        the change with `_changed`."""
+        spo = self._spo
+        entry = spo.get(s)
+        if entry is None:
+            shape = self._no_predicates
+            spo[s] = (shape.step.get(p) or self._step(shape, p), o)
+        elif type(entry) is tuple:
+            shape = entry[0]
+            i = shape.at.get(p)
+            if i is None:
+                spo[s] = (shape.step.get(p) or self._step(shape, p), *entry[1:], o)
+            elif entry[i] == o:
+                return False
+            else:
+                spo[s] = entry = dict(zip(shape.at, entry[1:]))
+                entry[p] = {entry[p]: None, o: None}
+        elif not _link(entry, p, o):
             return False
         # the triple is new, so s is not yet under (p, o); the POS link is
         # spelled out here to note a subject that arrives out of order
@@ -267,9 +305,6 @@ class Graph:
                 if s.lexical < leaf.lexical:
                     self._unsorted.add((p, o))
                 second[o] = {leaf: None, s: None}
-        self._size += 1
-        self.version += 1
-        self._pred_versions[p] = self._pred_versions.get(p, 0) + 1
         return True
 
     def remove(self, t: Triple) -> bool:
@@ -277,13 +312,35 @@ class Graph:
         if t not in self:
             return False
         s, p, o = t.subject, t.predicate, t.object
-        _unlink(self._spo, s, p, o)
+        entry = self._spo[s]
+        if type(entry) is dict:
+            # back to a tuple once no predicate is repeated
+            if _unlink(self._spo, s, p, o) and not any(type(v) is dict for v in entry.values()):
+                self._spo[s] = (reduce(self._step, entry, self._no_predicates), *entry.values())
+        elif len(entry) == 2:
+            del self._spo[s]
+        else:
+            i = entry[0].at[p]
+            self._spo[s] = (self._step(entry[0], p), *entry[1:i], *entry[i + 1:])
         if _unlink(self._pos, p, o, s) and self._unsorted:
             self._unsorted.discard((p, o))
-        self._size -= 1
-        self.version += 1
-        self._pred_versions[p] = self._pred_versions.get(p, 0) + 1
+        self._changed((p,), -1)
         return True
+
+    def _changed(self, predicates: Iterable[Term], size_change: int) -> None:
+        """One mutation of `size_change` triples, all of `predicates`."""
+        self._size += size_change
+        self.version += 1
+        for p in predicates:
+            self._pred_versions[p] = self._pred_versions.get(p, 0) + 1
+
+    def _step(self, shape: _Shape, p: Term) -> _Shape:
+        """`shape.step[p]`, cached from `_shapes` on a first call."""
+        found = shape.step.get(p)
+        if found is None:
+            order = tuple(q for q in shape.at if q != p) if p in shape.at else (*shape.at, p)
+            found = shape.step[p] = self._shapes.setdefault(order, _Shape(order))
+        return found
 
     def add_all(self, triples: Iterable[Triple]) -> int:
         added = 0
@@ -294,23 +351,23 @@ class Graph:
 
     # -- pattern access ------------------------------------------------
 
+    def _leaf(self, s: Term, p: Term):
+        """The SPO leaf of `(s, p)`, or None."""
+        entry = self._spo.get(s)
+        if type(entry) is tuple:
+            i = entry[0].at.get(p)
+            return None if i is None else entry[i]
+        return None if entry is None else entry.get(p)
+
     def contains_spo(self, s: Term, p: Term, o: Term) -> bool:
-        inner = self._spo.get(s)
-        if inner is None:
-            return False
-        leaf = inner.get(p)
-        if leaf is None:
-            return False
+        leaf = self._leaf(s, p)
         if type(leaf) is dict:
             return o in leaf
         return leaf == o
 
     def objects_for(self, s: Term, p: Term):
         """The objects of `(s, p)`: a one-term tuple, or the live index dict."""
-        inner = self._spo.get(s)
-        if inner is None:
-            return ()
-        leaf = inner.get(p)
+        leaf = self._leaf(s, p)
         return () if leaf is None else _members(leaf)
 
     def subjects_for(self, p: Term, o: Term):
@@ -360,7 +417,8 @@ class Graph:
         if p is not None and o is not None:
             return len(self.subjects_for(p, o))
         if s is not None:
-            return len(self._spo.get(s, ()))
+            entry = self._spo.get(s, {})
+            return len(entry) - (type(entry) is tuple)  # less a tuple's shape
         if p is not None:
             return len(self._pos.get(p, ()))
         return self._size
@@ -394,8 +452,8 @@ class Graph:
                             yield (subj, p, obj)
         else:
             subjects = self._spo.items() if s is None else ((s, self._spo.get(s, {})),)
-            for subj, preds in subjects:
-                for pred, objs in preds.items():
+            for subj, entry in subjects:
+                for pred, objs in _leaves(entry):
                     if o is None:
                         for obj in _members(objs):
                             yield (subj, pred, obj)
@@ -408,24 +466,25 @@ def _members(leaf):
     return leaf if type(leaf) is dict else (leaf,)
 
 
-def _link(index: dict, a: Term, b: Term, c: Term) -> bool:
-    """Add c under index[a][b]; False if it was already there."""
-    second = index.get(a)
-    if second is None:
-        index[a] = {b: c}
-        return True
-    leaf = second.get(b)
+def _leaves(entry):
+    """A subject's (predicate, leaf) pairs in insertion order."""
+    return zip(entry[0].at, entry[1:]) if type(entry) is tuple else entry.items()
+
+
+def _link(leaves: dict, p: Term, o: Term) -> bool:
+    """Add o under leaves[p]; False if it was already there."""
+    leaf = leaves.get(p)
     if leaf is None:
-        second[b] = c
+        leaves[p] = o
         return True
     if type(leaf) is dict:
-        if c in leaf:
+        if o in leaf:
             return False
-        leaf[c] = None
+        leaf[o] = None
         return True
-    if leaf == c:
+    if leaf == o:
         return False
-    second[b] = {leaf: None, c: None}
+    leaves[p] = {leaf: None, o: None}
     return True
 
 
@@ -581,11 +640,12 @@ def _parse_line(text: str, line_no: int, term) -> Triple:
     return Triple(subject, predicate, obj)
 
 
-# Tokens are separated by what `_LineScanner.skip_ws` skips: spaces and tabs.
+# Tokens are separated by what `_LineScanner.skip_ws` skips: spaces and
+# tabs. A line may keep the `\n` that ends it.
 _LINE_RE = re.compile(
     r'[ \t]*<([^>]*)>[ \t]*<([^>]*)>[ \t]*'
     r'(?:<([^>]*)>|"([^"\\]*)"(?:\^\^<([^>]*)>)?)'
-    r'[ \t]*\.[ \t]*'
+    r'[ \t]*\.[ \t]*\n?'
 )
 
 
@@ -622,7 +682,6 @@ def load_lines(graph: Graph, source) -> int:
     add = graph._add
     added = 0
     for line_no, raw in enumerate(source, start=1):
-        raw = raw.rstrip("\n")
         match = fullmatch(raw)
         if match is not None:
             s, p, o, lexical, datatype = match.groups()
@@ -638,12 +697,16 @@ def load_lines(graph: Graph, source) -> int:
             except TermError:
                 match = None
         if match is None:
+            raw = raw.rstrip("\n")
             if not raw.strip() or raw.startswith("#"):
                 continue
             t = _parse_line(raw, line_no, term)
             s, p, o = t.subject, t.predicate, t.object
         if add(s, p, o):
             added += 1
+    if added:
+        # one mutation for the whole load, of every predicate held
+        graph._changed(graph._pos, added)
     return added
 
 

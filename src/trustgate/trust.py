@@ -2,7 +2,7 @@
 
 Scores are fixed-point decimals with four fractional digits so that repeated
 0.01 deductions land exactly on zero; the graph carries a projection of every
-score (written in canonical decimal form) that is refreshed on each mutation.
+score (written in canonical decimal form) that each commit rewrites if it changed.
 
 A penalty kind names who pays it (`USER_PENALTIES`, `ORG_PENALTIES`). The
 lock rule: a custodian and a recipient organization stop exchanging once the
@@ -41,6 +41,9 @@ BEHAVIOR = "behavior"
 IDENTITY = "identity"
 CREDIBILITY_SCORE = "credibility"
 SCORE_NAMES = (IDENTITY, BEHAVIOR, CREDIBILITY_SCORE)
+# each score's projected predicate, in the order a projection writes them
+_SCORE_PREDICATES = {BEHAVIOR: BEHAVIOR_TRUST, IDENTITY: IDENTITY_TRUST,
+                     CREDIBILITY_SCORE: CREDIBILITY}
 
 DUA_VIOLATION = "duaViolation"
 NO_DUA_REQUEST = "noDuaRequest"
@@ -94,18 +97,6 @@ def canonical_score(value: Decimal) -> str:
     if "." not in text:
         text += ".0"
     return text
-
-
-_SCORE_TERMS: dict[Decimal, object] = {}
-
-
-def score_term(value: Decimal):
-    # the score grid has at most 10001 points; cache the projected terms
-    term = _SCORE_TERMS.get(value)
-    if term is None:
-        term = typed(canonical_score(value), XSD_FLOAT)
-        _SCORE_TERMS[value] = term
-    return term
 
 
 @dataclass(frozen=True)
@@ -235,8 +226,8 @@ class TrustRegistry:
 
     The registry takes no lock: its owner serializes access, as
     `ExchangeMiddleware` does by making every mutation inside a section of
-    its one node lock, whose sections run one at a time. Every mutation
-    refreshes that principal's projected score triples in the graph.
+    its one node lock, whose sections run one at a time. A commit writes the
+    projected triples of the scores it changed, all of them at registration.
     """
 
     def __init__(self, graph: Graph):
@@ -463,28 +454,28 @@ class TrustRegistry:
         return new
 
     def _commit(self, record: TrustRecord) -> None:
+        old = self._records.get(record.principal.iri)
         self._records[record.principal.iri] = record
-        self._refresh_projection(record)
+        self._project(record, [name for name in _SCORE_PREDICATES if old is None
+                               or getattr(old, name) != getattr(record, name)])
 
     def touch_projection(self, principal_iri: str) -> None:
-        """Make the principal's projected score triples match its record,
-        repairing drift from direct graph updates; writes nothing when they
-        already match. Every commit refreshes them already, so the exchange
-        cycle does not call this."""
-        self._refresh_projection(self.get(principal_iri))
+        """Make all of the principal's projected score triples match its
+        record, repairing drift from direct graph updates; writes nothing
+        when they already match. A commit writes the scores it changes, so
+        the exchange cycle does not call this."""
+        self._project(self.get(principal_iri), _SCORE_PREDICATES)
 
-    def _refresh_projection(self, record: TrustRecord) -> None:
+    def _project(self, record: TrustRecord, names) -> None:
+        """Make the projected triples of the named scores match the record."""
         graph = self._graph
         subject = self._subjects.get(record.principal.iri)
         if subject is None:
             subject = iri(record.principal.iri)
             self._subjects[record.principal.iri] = subject
-        for value, predicate in (
-            (record.behavior, BEHAVIOR_TRUST),
-            (record.identity, IDENTITY_TRUST),
-            (record.credibility, CREDIBILITY),
-        ):
-            wanted = score_term(value) if value is not None else None
+        for name in names:
+            predicate, value = _SCORE_PREDICATES[name], getattr(record, name)
+            wanted = typed(canonical_score(value), XSD_FLOAT) if value is not None else None
             existing = graph.objects_for(subject, predicate)
             if wanted is not None and len(existing) == 1 and wanted in existing:
                 continue

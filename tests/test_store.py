@@ -2,6 +2,7 @@ import copy
 import json
 import pickle
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -33,6 +34,7 @@ from trustgate.store import (
     serialize_term,
     typed,
 )
+from trustgate.synth import GeneratorSpec, generate_dataset
 
 from graph_match import match
 
@@ -348,12 +350,10 @@ class TestLineFormat:
         # one object per distinct (kind, lexical, datatype): the IRI s:b
         # and the plain literal "s:b" stay apart
         assert len(seen) == 8
-        for index in (g2._spo, g2._pos):
-            for first, seconds in index.items():
-                assert seen[first] is first
-                for second, leaf in seconds.items():
-                    assert seen[second] is second
-                    assert all(seen[third] is third for third in leaf_members(leaf))
+        for _, first, second, leaf in index_entries(g2):
+            assert seen[first] is first
+            assert seen[second] is second
+            assert all(seen[third] is third for third in leaf_members(leaf))
 
 
 # quotes, backslashes, control characters (among them every one that
@@ -560,26 +560,40 @@ def leaf_members(leaf):
     return [leaf]
 
 
+def subject_leaves(entry):
+    """A subject's (predicate, leaf) pairs: a shape tuple's predicates beside
+    its objects, or a dict's items. A dict holds a repeated predicate."""
+    if isinstance(entry, tuple):
+        shape, *objects = entry
+        assert list(shape.at.values()) == list(range(1, len(entry)))
+        return list(zip(shape.at, objects))
+    assert any(isinstance(leaf, dict) for leaf in entry.values())
+    return list(entry.items())
+
+
+def index_entries(graph):
+    """(index name, first key, second key, leaf) for every leaf of each index."""
+    for first, entry in graph._spo.items():
+        for second, leaf in subject_leaves(entry):
+            yield "spo", first, second, leaf
+    for first, seconds in graph._pos.items():
+        for second, leaf in seconds.items():
+            yield "pos", first, second, leaf
+
+
 def index_leaves(graph):
-    for index in (graph._spo, graph._pos):
-        for seconds in index.values():
-            yield from seconds.values()
+    for _, _, _, leaf in index_entries(graph):
+        yield leaf
 
 
 def index_triples(graph):
     """Walk each of the two indexes and rebuild the triple set."""
-    out = {}
-    for label, index, arrange in (
-        ("spo", graph._spo, lambda a, b, c: (a, b, c)),
-        ("pos", graph._pos, lambda a, b, c: (c, a, b)),
-    ):
-        triples = set()
-        for first, seconds in index.items():
-            for second, leaf in seconds.items():
-                for third in leaf_members(leaf):
-                    s, p, o = arrange(first, second, third)
-                    triples.add(Triple(s, p, o))
-        out[label] = triples
+    out = {"spo": set(), "pos": set()}
+    arrange = {"spo": lambda a, b, c: (a, b, c), "pos": lambda a, b, c: (c, a, b)}
+    for label, first, second, leaf in index_entries(graph):
+        for third in leaf_members(leaf):
+            s, p, o = arrange[label](first, second, third)
+            out[label].add(Triple(s, p, o))
     return out
 
 
@@ -624,7 +638,10 @@ class TestLeafForms:
         scanned = [(a.lexical, b.lexical, c.lexical) for a, b, c in g.iter_terms(None, None, None)]
         assert scanned == [trip for s in subject_order for trip in present if trip[0] == s]
         assert len(g) == len(present)
-        for leaf, members in ((g._spo.get(s1, {}).get(p), objects),
+        # s1 is a shape tuple exactly while (s1, p) has one object
+        assert isinstance(g._spo.get(s1), tuple) == (len(objects) == 1)
+        spo_leaf = dict(subject_leaves(g._spo[s1])).get(p) if s1 in g._spo else None
+        for leaf, members in ((spo_leaf, objects),
                               (g._pos.get(p, {}).get(o1), subjects)):
             if members:
                 assert isinstance(leaf, dict) == (len(members) > 1)
@@ -657,6 +674,82 @@ class TestLeafForms:
                 if all(s != trip[0] for s, _, _ in present):
                     subject_order.remove(trip[0])
             self.check(g, present, subject_order)
+
+
+_SHAPE_STEPS = st.lists(st.tuples(
+    st.booleans(), st.sampled_from(["s:a", "s:b"]), st.sampled_from(["p:p", "p:q", "p:r"]),
+    st.sampled_from(["o:1", "o:2"]),
+), max_size=40)
+
+
+class TestSubjectShapes:
+    """Subjects held as shape tuples or as dicts, against a plain model: per
+    subject, each predicate's objects in insertion order, in a dict, so that
+    a predicate put back after its removal comes last."""
+
+    @staticmethod
+    def check(g, model):
+        triples = {(s, p, o) for s, preds in model.items() for p, objs in preds.items()
+                   for o in objs}
+        assert len(g) == len(triples)
+        scanned = {(a.lexical, b.lexical, c.lexical) for a, b, c in g.iter_terms(None, None, None)}
+        assert scanned == triples
+        for s in ("s:a", "s:b"):
+            preds = model.get(s, {})
+            # fresh terms, equal to the stored ones but not the same objects
+            in_order = [(s, p, o) for p, objs in preds.items() for o in objs]
+            assert [(a.lexical, b.lexical, c.lexical)
+                    for a, b, c in g.iter_terms(iri(s), None, None)] == in_order
+            assert g.estimate(iri(s), None, None) == len(preds)
+            for p in ("p:p", "p:q", "p:r"):
+                assert [o.lexical for o in g.objects_for(iri(s), iri(p))] == preds.get(p, [])
+                for o in ("o:1", "o:2"):
+                    assert g.contains_spo(iri(s), iri(p), iri(o)) == ((s, p, o) in triples)
+            if preds:
+                # a shape tuple exactly while no predicate is repeated
+                single = all(len(objs) == 1 for objs in preds.values())
+                assert isinstance(g._spo[iri(s)], tuple) == single
+                subject_leaves(g._spo[iri(s)])  # checks the entry's form
+            else:
+                assert iri(s) not in g._spo
+        assert [s.lexical for s in g._spo] == list(model)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_SHAPE_STEPS)
+    # p:q goes from one object to two and back, and p:p is put back last
+    @example([(True, "s:a", "p:p", "o:1"), (True, "s:a", "p:q", "o:1"),
+              (True, "s:a", "p:r", "o:1"), (True, "s:a", "p:q", "o:2"),
+              (False, "s:a", "p:q", "o:1"), (False, "s:a", "p:p", "o:1"),
+              (True, "s:a", "p:p", "o:2"), (False, "s:a", "p:q", "o:2"),
+              (False, "s:a", "p:r", "o:1"), (False, "s:a", "p:p", "o:2")])
+    def test_reads_follow_a_plain_model(self, steps):
+        g, model = Graph(), {}
+        for is_insert, s, p, o in steps:
+            objs = model.get(s, {}).get(p, [])
+            if is_insert:
+                assert g.insert(t(s, p, o)) == (o not in objs)
+                if o not in objs:
+                    model.setdefault(s, {}).setdefault(p, []).append(o)
+            else:
+                assert g.remove(t(s, p, o)) == (o in objs)
+                if o in objs:
+                    objs.remove(o)
+                    if not objs:
+                        del model[s][p]
+                        if not model[s]:
+                            del model[s]
+            self.check(g, model)
+
+    def test_a_generated_load_holds_each_subject_without_a_repeat_as_a_tuple(self):
+        g = Graph()
+        load_lines(g, serialize_lines(generate_dataset(GeneratorSpec(seed=1, patient_count=1000))))
+        objects = Counter((s, p) for s, p, _ in g.iter_terms(None, None, None))
+        repeated = {s for (s, _), n in objects.items() if n > 1}
+        assert 0 < len(repeated) < len(g._spo) // 100
+        for s, entry in g._spo.items():
+            assert isinstance(entry, tuple) == (s not in repeated)
+        # a handful of predicate orders serves every subject
+        assert len(g._shapes) < 100
 
 
 _ROW_SUBJECTS = ["s:a", "s:b", "s:c", "s:é", 's:"q"', "s:\\", "s:😀", "s:A"]

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from trustgate.ontology import (
     BEHAVIOR_TRUST,
+    IDENTITY_TRUST,
     ORGANIZATION,
     USER,
     DuaRecord,
@@ -425,6 +426,34 @@ class TestGraphProjection:
             graph, TriplePattern(iri(ALICE), iri("http://example.org/trust#credibility"), Var("v"))
         )
         assert got == []
+
+    def test_a_peer_update_writes_only_the_score_it_changes(self):
+        graph = Graph()
+        registry = make_registry(graph)
+        version = graph.version
+        assert registry.apply_remote(ALICE, BEHAVIOR, "0.97", version=5)
+        # the old behavior triple out and the new one in; identity untouched
+        assert graph.version == version + 2
+
+    def test_lock_pair_writes_no_score(self):
+        graph = Graph()
+        registry = make_registry(graph)
+        version = graph.version
+        registry.lock_pair(CUSTODIAN, ORG)
+        assert registry.check_lockout(CUSTODIAN, ORG)
+        assert graph.version == version
+
+    def test_touch_projection_restores_a_score_no_commit_changed(self):
+        graph = Graph()
+        registry = make_registry(graph)
+        registry.apply_remote(ALICE, BEHAVIOR, "0.97", version=5)
+        identity = TriplePattern(iri(ALICE), IDENTITY_TRUST, Var("v"))
+        [projected] = match(graph, identity)
+        graph.remove(projected)
+        registry.penalize_user(ALICE, DUA_VIOLATION, PenaltyConfig())
+        assert match(graph, identity) == []
+        registry.touch_projection(ALICE)
+        assert match(graph, identity) == [projected]
 
     def test_score_churn_keeps_unsorted_keys_on_live_dict_leaves(self):
         # users registered in reverse order join each score leaf out of
